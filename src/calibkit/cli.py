@@ -23,7 +23,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__, kernels
+from . import __version__
 from .data import Dataset, LogFormat, SplitSpec, gen_synthetic, load_predictions, split
 from .errors import DomainError
 from .losses import IndicatorVariant, LossConfig, auto_gamma, softmax
@@ -189,7 +189,6 @@ def _manifest(args, *, command: str, seed: int, mode: str | None,
               gamma_value: float, gamma_source: str) -> dict:
     return {
         "version": __version__,
-        "kernel_backend": kernels.BACKEND,
         "command": command,
         "seed": seed,
         "data": {
@@ -324,16 +323,23 @@ def _cmd_compare(args) -> int:
         path = Path(run_dir) / "report.json"
         if not path.is_file():
             raise DomainError(f"no report.json under {run_dir}")
-        test = json.loads(path.read_text(encoding="utf-8"))["test"]
-        report = ClassificationReport(
-            per_class=tuple((c["precision"], c["recall"], c["f1"])
-                            for c in test["per_class"]),
-            macro_precision=test["macro_precision"],
-            macro_recall=test["macro_recall"],
-            macro_f1=test["macro_f1"],
-            accuracy=test["accuracy"],
-        )
-        entries.append((Path(run_dir).name, report, test["ece"]))
+        try:
+            test = json.loads(path.read_text(encoding="utf-8"))["test"]
+            report = ClassificationReport(
+                per_class=tuple((c["precision"], c["recall"], c["f1"])
+                                for c in test["per_class"]),
+                macro_precision=test["macro_precision"],
+                macro_recall=test["macro_recall"],
+                macro_f1=test["macro_f1"],
+                accuracy=test["accuracy"],
+            )
+            test_ece = test["ece"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(
+                f"report.json under {run_dir} is not a calibkit report "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
+        entries.append((Path(run_dir).name, report, test_ece))
     print(comparison_table(entries), end="")
     return 0
 

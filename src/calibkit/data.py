@@ -92,8 +92,8 @@ def gen_synthetic(k: int, n_per_class: int, dim: int, overlap: float, seed: int)
         raise DomainError(f"need at least 1 sample per class, got {n_per_class}")
     if dim < 2:
         raise DomainError(f"need at least 2 feature dimensions, got {dim}")
-    if overlap < 0:
-        raise DomainError(f"overlap must be non-negative, got {overlap}")
+    if not (math.isfinite(overlap) and overlap >= 0):
+        raise DomainError(f"overlap must be finite and non-negative, got {overlap}")
     rng = np.random.default_rng(seed)
     means = np.zeros((k, dim))
     if dim >= k:

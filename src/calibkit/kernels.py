@@ -1,17 +1,5 @@
 """Hot numeric kernels: binned accumulation and the smoothed-indicator
-calibration gap, forward and backward.
-
-Every kernel exists twice: a pure-numpy vectorized implementation
-(``*_numpy``) and a numba ``@njit`` loop implementation (``*_numba``,
-defined only when numba imports). The active backend is chosen once at
-import time from the environment variable ``CALIBKIT_KERNELS``:
-
-    CALIBKIT_KERNELS=numba   (default) JIT-compiled loops
-    CALIBKIT_KERNELS=numpy   vectorized numpy, no compilation
-
-When numba is not installed the numpy path is used regardless of the flag.
-Both paths perform the same arithmetic in the same accumulation order;
-``benchmarks/bench_kernels.py`` compares their throughput.
+calibration gap with its gradient, as vectorized numpy.
 
 Binning convention: the unit interval splits into M right-closed bins
 ((m-1)/M, m/M]; a confidence of exactly 0 lands in bin 0 so the map is
@@ -21,17 +9,7 @@ total. ``bin_edges(M)`` returns the M-1 interior edges; the bin index of
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
 
 
 def bin_edges(n_bins: int) -> np.ndarray:
@@ -39,12 +17,7 @@ def bin_edges(n_bins: int) -> np.ndarray:
     return np.arange(1, n_bins) / float(n_bins)
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _sigmoid_np(t: np.ndarray) -> np.ndarray:
+def _sigmoid(t: np.ndarray) -> np.ndarray:
     # Split by sign so exp never overflows.
     out = np.empty_like(t)
     pos = t >= 0
@@ -54,27 +27,31 @@ def _sigmoid_np(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def bin_indices_numpy(conf: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def bin_indices(conf: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin index per sample: count of interior edges strictly below conf."""
     return np.searchsorted(edges, conf, side="left").astype(np.int64)
 
 
-def reliability_sums_numpy(conf, correct, edges, n_bins):
+def reliability_sums(conf, correct, edges, n_bins):
     """Per-bin (count, sum of correctness, sum of confidence)."""
-    bins = bin_indices_numpy(conf, edges)
+    bins = bin_indices(conf, edges)
     counts = np.bincount(bins, minlength=n_bins).astype(np.int64)
     acc_sums = np.bincount(bins, weights=correct, minlength=n_bins)
     conf_sums = np.bincount(bins, weights=conf, minlength=n_bins)
     return counts, acc_sums, conf_sums
 
 
-def soft_ece_forward_numpy(probs, labels, edges, eps, use_true_q):
-    """Binned gap between smoothed per-bin accuracy and mean confidence.
+def soft_ece_backward(probs, labels, edges, eps, use_true_q):
+    """Binned gap between smoothed per-bin accuracy and mean confidence,
+    plus its exact gradient with respect to the logits that produced
+    ``probs`` via softmax. Returns ``(value, dlogits)``.
 
     Samples are binned by max probability. The smoothed correctness of a
     sample is sigmoid(tan(pi*q - pi/2)) with q the max probability, or the
     true-class probability when ``use_true_q``; q is clamped to
-    [eps, 1-eps] before the tangent. Returns the scalar gap value.
+    [eps, 1-eps] before the tangent. Bin membership is frozen at its
+    forward value; the absolute value uses sign with sign(0) = 0; the
+    clamp contributes zero slope outside [eps, 1-eps].
     """
     n = probs.shape[0]
     n_bins = edges.shape[0] + 1
@@ -84,31 +61,8 @@ def soft_ece_forward_numpy(probs, labels, edges, eps, use_true_q):
     q = probs[rows, labels] if use_true_q else conf
     qc = np.clip(q, eps, 1.0 - eps)
     t = np.tan(np.pi * qc - 0.5 * np.pi)
-    g = _sigmoid_np(t)
-    bins = bin_indices_numpy(conf, edges)
-    gsum = np.bincount(bins, weights=g, minlength=n_bins)
-    csum = np.bincount(bins, weights=conf, minlength=n_bins)
-    return float(np.abs(gsum - csum).sum() / n)
-
-
-def soft_ece_backward_numpy(probs, labels, edges, eps, use_true_q):
-    """Forward value plus its exact gradient with respect to the logits
-    that produced ``probs`` via softmax.
-
-    Bin membership is frozen at its forward value; the absolute value
-    uses sign with sign(0) = 0; the clamp contributes zero slope outside
-    [eps, 1-eps].
-    """
-    n = probs.shape[0]
-    n_bins = edges.shape[0] + 1
-    pred = np.argmax(probs, axis=1)
-    rows = np.arange(n)
-    conf = probs[rows, pred]
-    q = probs[rows, labels] if use_true_q else conf
-    qc = np.clip(q, eps, 1.0 - eps)
-    t = np.tan(np.pi * qc - 0.5 * np.pi)
-    g = _sigmoid_np(t)
-    bins = bin_indices_numpy(conf, edges)
+    g = _sigmoid(t)
+    bins = bin_indices(conf, edges)
     gsum = np.bincount(bins, weights=g, minlength=n_bins)
     csum = np.bincount(bins, weights=conf, minlength=n_bins)
     value = float(np.abs(gsum - csum).sum() / n)
@@ -123,158 +77,3 @@ def soft_ece_backward_numpy(probs, labels, edges, eps, use_true_q):
     inner = np.einsum("ij,ij->i", dprobs, probs)
     dlogits = probs * (dprobs - inner[:, None])
     return value, dlogits
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sigmoid_scalar(t):
-        if t >= 0.0:
-            return 1.0 / (1.0 + math.exp(-t))
-        e = math.exp(t)
-        return e / (1.0 + e)
-
-    @njit(cache=True)
-    def _bin_of(c, edges):
-        b = 0
-        for j in range(edges.shape[0]):
-            if c > edges[j]:
-                b += 1
-            else:
-                break
-        return b
-
-    @njit(cache=True)
-    def bin_indices_numba(conf, edges):
-        n = conf.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = _bin_of(conf[i], edges)
-        return out
-
-    @njit(cache=True)
-    def reliability_sums_numba(conf, correct, edges, n_bins):
-        counts = np.zeros(n_bins, dtype=np.int64)
-        acc_sums = np.zeros(n_bins, dtype=np.float64)
-        conf_sums = np.zeros(n_bins, dtype=np.float64)
-        for i in range(conf.shape[0]):
-            b = _bin_of(conf[i], edges)
-            counts[b] += 1
-            acc_sums[b] += correct[i]
-            conf_sums[b] += conf[i]
-        return counts, acc_sums, conf_sums
-
-    @njit(cache=True)
-    def _soft_bin_pass(probs, labels, edges, eps, use_true_q):
-        # Shared first pass: per-sample argmax/conf/q/g/bin plus bin sums.
-        n, k = probs.shape
-        n_bins = edges.shape[0] + 1
-        pred = np.empty(n, dtype=np.int64)
-        conf = np.empty(n, dtype=np.float64)
-        tval = np.empty(n, dtype=np.float64)
-        gval = np.empty(n, dtype=np.float64)
-        clamped = np.empty(n, dtype=np.bool_)
-        bins = np.empty(n, dtype=np.int64)
-        gsum = np.zeros(n_bins, dtype=np.float64)
-        csum = np.zeros(n_bins, dtype=np.float64)
-        for i in range(n):
-            best = 0
-            for j in range(1, k):
-                if probs[i, j] > probs[i, best]:
-                    best = j
-            pred[i] = best
-            c = probs[i, best]
-            conf[i] = c
-            q = probs[i, labels[i]] if use_true_q else c
-            clamped[i] = q < eps or q > 1.0 - eps
-            qc = min(max(q, eps), 1.0 - eps)
-            t = math.tan(math.pi * qc - 0.5 * math.pi)
-            tval[i] = t
-            g = _sigmoid_scalar(t)
-            gval[i] = g
-            b = _bin_of(c, edges)
-            bins[i] = b
-            gsum[b] += g
-            csum[b] += c
-        return pred, conf, tval, gval, clamped, bins, gsum, csum
-
-    @njit(cache=True)
-    def soft_ece_forward_numba(probs, labels, edges, eps, use_true_q):
-        _, _, _, _, _, _, gsum, csum = _soft_bin_pass(
-            probs, labels, edges, eps, use_true_q
-        )
-        value = 0.0
-        for m in range(gsum.shape[0]):
-            value += abs(gsum[m] - csum[m])
-        return value / probs.shape[0]
-
-    @njit(cache=True)
-    def soft_ece_backward_numba(probs, labels, edges, eps, use_true_q):
-        n, k = probs.shape
-        pred, conf, tval, gval, clamped, bins, gsum, csum = _soft_bin_pass(
-            probs, labels, edges, eps, use_true_q
-        )
-        n_bins = gsum.shape[0]
-        value = 0.0
-        sgn = np.empty(n_bins, dtype=np.float64)
-        for m in range(n_bins):
-            gap = gsum[m] - csum[m]
-            value += abs(gap)
-            if gap > 0.0:
-                sgn[m] = 1.0
-            elif gap < 0.0:
-                sgn[m] = -1.0
-            else:
-                sgn[m] = 0.0
-        value /= n
-
-        dlogits = np.empty((n, k), dtype=np.float64)
-        for i in range(n):
-            s = sgn[bins[i]] / n
-            if clamped[i]:
-                dgdq = 0.0
-            else:
-                t = tval[i]
-                g = gval[i]
-                dgdq = g * (1.0 - g) * math.pi * (1.0 + t * t)
-            qcol = labels[i] if use_true_q else pred[i]
-            dq = s * dgdq
-            dc = -s
-            # Sparse chain through softmax: dz_j = p_j * (dp_j - <dp, p>).
-            inner = dq * probs[i, qcol] + dc * probs[i, pred[i]]
-            for j in range(k):
-                dp = 0.0
-                if j == qcol:
-                    dp += dq
-                if j == pred[i]:
-                    dp += dc
-                dlogits[i, j] = probs[i, j] * (dp - inner)
-        return value, dlogits
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_requested = os.environ.get("CALIBKIT_KERNELS", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    raise RuntimeError(
-        f"CALIBKIT_KERNELS must be 'numba' or 'numpy', got {_requested!r}"
-    )
-
-BACKEND = "numba" if (_requested == "numba" and _HAVE_NUMBA) else "numpy"
-
-if BACKEND == "numba":
-    bin_indices = bin_indices_numba
-    reliability_sums = reliability_sums_numba
-    soft_ece_forward = soft_ece_forward_numba
-    soft_ece_backward = soft_ece_backward_numba
-else:
-    bin_indices = bin_indices_numpy
-    reliability_sums = reliability_sums_numpy
-    soft_ece_forward = soft_ece_forward_numpy
-    soft_ece_backward = soft_ece_backward_numpy

@@ -12,8 +12,8 @@ correctness indicator more closely.
 
 The joint objective adds the calibration term to the NLL with a weight
 that ramps linearly from 0 (at epoch ``s_e``) to ``gamma_e`` (at epoch
-``total_epochs``), or stays constant at ``gamma_e`` when the curriculum
-is switched off.
+``total_epochs``); :mod:`calibkit.training` maps each training mode and
+epoch to the weight it uses.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .kernels import bin_edges, soft_ece_backward, soft_ece_forward
+from .kernels import bin_edges, soft_ece_backward
 
 
 class IndicatorVariant(Enum):
@@ -55,8 +55,10 @@ class LossConfig:
 
     def __post_init__(self):
         # 0 is allowed so the joint objective can degenerate to plain NLL.
-        if self.gamma_e < 0:
-            raise DomainError(f"gamma_e must be non-negative, got {self.gamma_e}")
+        if not (math.isfinite(self.gamma_e) and self.gamma_e >= 0):
+            raise DomainError(
+                f"gamma_e must be finite and non-negative, got {self.gamma_e}"
+            )
         if self.total_epochs < 1:
             raise DomainError(f"total_epochs must be >= 1, got {self.total_epochs}")
         if not 0 <= self.s_e < self.total_epochs:
@@ -115,6 +117,10 @@ def nll_loss(probs, labels, epsilon: float = 1e-6):
     gradient is the usual (softmax - onehot) / batch_size.
     """
     p, y = _as_batch(probs, labels)
+    return _nll(p, y, epsilon)
+
+
+def _nll(p: np.ndarray, y: np.ndarray, epsilon: float):
     n = p.shape[0]
     picked = np.maximum(p[np.arange(n), y], epsilon)
     loss = float(-np.log(picked).mean())
@@ -145,8 +151,9 @@ def soft_ece(probs, labels, n_bins: int, variant: IndicatorVariant = IndicatorVa
     p, y = _as_batch(probs, labels)
     if n_bins < 1:
         raise DomainError(f"bin count must be >= 1, got {n_bins}")
-    return float(soft_ece_forward(p, y, bin_edges(n_bins), epsilon,
-                                  variant is IndicatorVariant.TRUE_CLASS_PROB))
+    value, _ = soft_ece_backward(p, y, bin_edges(n_bins), epsilon,
+                                 variant is IndicatorVariant.TRUE_CLASS_PROB)
+    return value
 
 
 def soft_ece_grad(logits, labels, n_bins: int, variant: IndicatorVariant = IndicatorVariant.MAX_PROB,
@@ -179,26 +186,18 @@ def weighted_loss(logits, labels, weight: float, config: LossConfig) -> LossValu
     """NLL plus ``weight`` times the calibration term, with joint gradient."""
     z = np.ascontiguousarray(logits, dtype=np.float64)
     p, y = _as_batch(softmax(z), labels)
-    nll, nll_grad = nll_loss(p, y, config.epsilon)
+    nll, nll_grad = _nll(p, y, config.epsilon)
     soft_val, soft_grad = soft_ece_backward(
         p, y, bin_edges(config.m_train), config.epsilon,
         config.indicator_variant is IndicatorVariant.TRUE_CLASS_PROB,
     )
     return LossValue(
         nll=nll,
-        soft_ece=float(soft_val),
+        soft_ece=soft_val,
         ece_weight=weight,
-        total=nll + weight * float(soft_val),
+        total=nll + weight * soft_val,
         grad_logits=nll_grad + weight * soft_grad,
     )
-
-
-def combined_loss(logits, labels, c_e: int, config: LossConfig,
-                  curriculum: bool = True) -> LossValue:
-    """The joint objective at epoch ``c_e``: ramped weight when
-    ``curriculum`` is on, constant ``gamma_e`` when off."""
-    weight = curriculum_weight(c_e, config) if curriculum else config.gamma_e
-    return weighted_loss(logits, labels, weight, config)
 
 
 def auto_gamma(nll_sample: float, soft_ece_sample: float) -> float:

@@ -47,6 +47,12 @@ def _f(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _xml_text(text: str) -> str:
+    # Not xml.sax.saxutils.escape: importing it loads urllib.request, which
+    # adds several MiB and tens of milliseconds to every CLI start.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_reliability_svg(table: ReliabilityTable, out_path, style: DiagramStyle | None = None) -> None:
     """Write a standalone SVG reliability diagram.
 
@@ -115,12 +121,12 @@ def render_reliability_svg(table: ReliabilityTable, out_path, style: DiagramStyl
             f'<text x="{_f(px(0) - 8)}" y="{_f(py(t) + 4)}" font-size="11" '
             f'text-anchor="end">{t:.1f}</text>'
         )
-    x_label = style.x_label.format(m=m)
+    x_label = _xml_text(style.x_label.format(m=m))
     out.append(
         f'<text x="{_f(px(0.5))}" y="{_f(py(0) + 40)}" font-size="13" '
         f'text-anchor="middle">{x_label}</text>'
     )
-    y_label = style.y_label.format(m=m)
+    y_label = _xml_text(style.y_label.format(m=m))
     out.append(
         f'<text x="{_f(px(0) - 44)}" y="{_f(py(0.5))}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 {_f(px(0) - 44)} {_f(py(0.5))})">{y_label}</text>'

@@ -9,6 +9,7 @@ time is recorded but excluded from report comparisons.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -79,8 +80,10 @@ class TrainConfig:
             raise DomainError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DomainError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
         if self.hidden_dim < 0:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, output text, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -82,7 +83,7 @@ class TestTrain:
         run_cli(train_args(out_dir, "--mode", "curriculum"))
         manifest = json.loads((out_dir / "run.json").read_text())
         assert manifest["version"] == __version__
-        assert manifest["kernel_backend"] in ("numba", "numpy")
+        assert "kernel_backend" not in manifest
         assert manifest["train"]["mode"] == "curriculum"
         assert manifest["train"]["epochs"] == 3
         assert manifest["loss"]["gamma_e"] == 0.5
@@ -150,6 +151,22 @@ class TestCompareAndDiagram:
         assert run_cli(["compare", str(tmp_path / "ghost")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_compare_report_without_test_section(self, tmp_path, capsys):
+        run_dir = tmp_path / "partial"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text('{"val": {}}\n')
+        assert run_cli(["compare", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(run_dir) in err
+
+    def test_compare_report_with_invalid_json(self, tmp_path, capsys):
+        run_dir = tmp_path / "truncated"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text('{"test": {"accuracy": ')
+        assert run_cli(["compare", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(run_dir) in err
+
     def test_diagram_writes_svg_and_manifest(self, tmp_path, capsys):
         log = write_two_record_log(tmp_path / "p.jsonl")
         svg = tmp_path / "rel.svg"
@@ -200,3 +217,19 @@ class TestUsage:
 
     def test_bad_split_ratios(self, capsys):
         assert run_cli(["train", "--split", "0.5,0.5", "--out", "x"]) == 2
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--gamma", "nan", "gamma_e"),
+        ("--gamma", "inf", "gamma_e"),
+        ("--lr", "inf", "learning_rate"),
+        ("--lr", "nan", "learning_rate"),
+        ("--overlap", "nan", "overlap"),
+    ])
+    def test_non_finite_config_is_rejected_up_front(self, tmp_path, capsys,
+                                                    flag, value, field):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(train_args(tmp_path / "run", flag, value))
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert caught == []

@@ -12,7 +12,6 @@ from calibkit import (
     IndicatorVariant,
     LossConfig,
     auto_gamma,
-    combined_loss,
     curriculum_weight,
     nll_loss,
     soft_ece,
@@ -228,12 +227,18 @@ class TestCurriculumWeight:
 
 
 class TestCombinedLoss:
+    """The joint objective at epoch e: weighted_loss with the ramped weight."""
+
+    @staticmethod
+    def at_epoch(z, labels, epoch, cfg):
+        return weighted_loss(z, labels, curriculum_weight(epoch, cfg), cfg)
+
     def test_total_decomposition_holds(self):
         rng = np.random.default_rng(4)
         z = rng.normal(0, 1, (20, 3))
         labels = rng.integers(0, 3, 20)
         cfg = LossConfig(gamma_e=0.8, s_e=0, total_epochs=10)
-        v = combined_loss(z, labels, 7, cfg)
+        v = self.at_epoch(z, labels, 7, cfg)
         assert v.total == pytest.approx(v.nll + v.ece_weight * v.soft_ece, abs=1e-12)
         assert v.ece_weight == pytest.approx(0.7 * 0.8)
 
@@ -241,17 +246,10 @@ class TestCombinedLoss:
         z = np.array([[0.3, -0.2], [1.0, 0.5]])
         labels = np.array([0, 1])
         cfg = LossConfig(gamma_e=2.0, s_e=0, total_epochs=10)
-        v = combined_loss(z, labels, 0, cfg)
+        v = self.at_epoch(z, labels, 0, cfg)
         nll, nll_grad = nll_loss(softmax(z), labels)
         assert v.total == nll
         np.testing.assert_array_equal(v.grad_logits, nll_grad)
-
-    def test_curriculum_off_uses_constant_weight(self):
-        z = np.array([[0.3, -0.2]])
-        cfg = LossConfig(gamma_e=2.0, s_e=0, total_epochs=10)
-        for epoch in (0, 3, 9):
-            assert combined_loss(z, np.array([0]), epoch, cfg,
-                                 curriculum=False).ece_weight == 2.0
 
     def test_zero_gamma_equals_nll_exactly(self):
         rng = np.random.default_rng(12)
@@ -259,7 +257,7 @@ class TestCombinedLoss:
         for _ in range(5):
             z = rng.normal(0, 2, (8, 4))
             labels = rng.integers(0, 4, 8)
-            v = combined_loss(z, labels, 5, cfg, curriculum=False)
+            v = self.at_epoch(z, labels, 5, cfg)
             nll, nll_grad = nll_loss(softmax(z), labels)
             assert v.total == nll
             np.testing.assert_array_equal(v.grad_logits, nll_grad)
@@ -274,15 +272,15 @@ class TestCombinedLoss:
             if not away_from_bin_edges(softmax(z), 10).all():
                 continue
             labels = rng.integers(0, k, n)
-            v = combined_loss(z, labels, 13, cfg)
+            v = self.at_epoch(z, labels, 13, cfg)
             h = 1e-5
             fd = np.zeros_like(z)
             for i in range(n):
                 for j in range(k):
                     zp = z.copy(); zp[i, j] += h
                     zm = z.copy(); zm[i, j] -= h
-                    fd[i, j] = (combined_loss(zp, labels, 13, cfg).total
-                                - combined_loss(zm, labels, 13, cfg).total) / (2 * h)
+                    fd[i, j] = (self.at_epoch(zp, labels, 13, cfg).total
+                                - self.at_epoch(zm, labels, 13, cfg).total) / (2 * h)
             np.testing.assert_allclose(v.grad_logits, fd, rtol=1e-4, atol=1e-7)
             checked += 1
 

@@ -1,6 +1,7 @@
 """SVG reliability diagrams, markdown comparison tables, prediction export."""
 
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -98,6 +99,15 @@ class TestReliabilitySvg:
         svg = out.read_text()
         assert "Confidence (M = 15 bins)" in svg
         assert "Accuracy / Confidence" in svg
+
+    def test_labels_are_xml_escaped(self, tmp_path):
+        table = build_reliability_table([rec([0.9, 0.1], 0)], 2)
+        out = tmp_path / "d.svg"
+        style = DiagramStyle(x_label="p < q & r", y_label="a & b <c>")
+        render_reliability_svg(table, out, style)
+        texts = [el.text for el in ET.parse(out).getroot()
+                 if el.tag.endswith("text")]
+        assert "p < q & r" in texts and "a & b <c>" in texts
 
     def test_output_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(0)
