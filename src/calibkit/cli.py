@@ -27,13 +27,7 @@ from . import __version__
 from .data import Dataset, LogFormat, SplitSpec, gen_synthetic, load_predictions, split
 from .errors import DomainError
 from .losses import IndicatorVariant, LossConfig, auto_gamma, softmax
-from .metrics import (
-    ClassificationReport,
-    build_reliability_table,
-    classification_report,
-    ece,
-    records_from_probs,
-)
+from .metrics import ClassificationReport, Predictions, build_reliability_table
 from .reporting import comparison_table, render_reliability_svg, save_predictions
 from .training import TrainConfig, TrainingMode, evaluate, forward, train
 
@@ -236,11 +230,8 @@ def _run_arm(args, seed: int, mode: TrainingMode, gamma_value: float,
     train_set, val_set, test_set = splits
     config = _train_config(args, seed, mode, gamma_value)
     params, report = train(train_set, val_set, config)
-    probs = softmax(forward(params, test_set.features))
-    records = records_from_probs(probs, test_set.labels)
-    table = build_reliability_table(records, args.bins_eval)
-    test_ece = ece(table)
-    test_report = classification_report(records, test_set.k)
+    preds = Predictions.from_probs(softmax(forward(params, test_set.features)), test_set.labels)
+    test_report, test_ece, table = evaluate(preds, args.bins_eval)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "run.json", manifest)
     epochs = []
@@ -255,7 +246,7 @@ def _run_arm(args, seed: int, mode: TrainingMode, gamma_value: float,
         "test": _report_section(test_report, test_ece),
     })
     render_reliability_svg(table, out_dir / "reliability.svg")
-    save_predictions(records, out_dir / "predictions.jsonl", LogFormat.JSONL)
+    save_predictions(preds, out_dir / "predictions.jsonl", LogFormat.JSONL)
     return test_report, test_ece
 
 
@@ -277,9 +268,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    records = load_predictions(args.predictions, LogFormat.from_name(args.format))
-    report, ece_value, table = evaluate(None, records, args.bins)
-    print(f"n: {len(records)}")
+    preds = load_predictions(args.predictions, LogFormat.from_name(args.format))
+    report, ece_value, table = evaluate(preds, args.bins)
+    print(f"n: {preds.labels.shape[0]}")
     print(f"accuracy: {report.accuracy:.4f}")
     print(f"macro_precision: {report.macro_precision:.4f}")
     print(f"macro_recall: {report.macro_recall:.4f}")
@@ -301,8 +292,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    records = load_predictions(args.predictions, LogFormat.from_name(args.format))
-    table = build_reliability_table(records, args.bins)
+    preds = load_predictions(args.predictions, LogFormat.from_name(args.format))
+    table = build_reliability_table(preds, args.bins)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     render_reliability_svg(table, out)

@@ -7,9 +7,11 @@ The prediction-log formats are shared with :mod:`calibkit.reporting`:
   UTF-8, LF endings.
 * CSV: header ``p0,...,p{K-1},label``, decimal-point floats.
 
-Loaded probability vectors are renormalized when their sum strays from 1
-by at most 1e-3 and rejected beyond that; predicted class and confidence
-are always recomputed from the probabilities.
+A log loads into one :class:`~calibkit.metrics.Predictions`. Rows are
+parsed into flat typed buffers and then checked together; an error names
+the first faulty line. Probability rows are renormalized when their sum
+strays from 1 by at most 1e-3 and rejected beyond that; predicted class
+and confidence are always recomputed from the probabilities.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -31,7 +34,7 @@ from .errors import (
     PredictionLogError,
     ProbabilitySumError,
 )
-from .metrics import PredictionRecord
+from .metrics import Predictions
 
 # Cluster centers sit at simplex vertices scaled by this factor; together
 # with the per-class standard deviation it sets the attainable accuracy.
@@ -71,10 +74,12 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
-            raise DomainError(f"need three positive ratios, got {self.ratios}")
+        if len(self.ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in self.ratios):
+            raise DomainError(f"need three finite positive ratios, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise DomainError(f"ratios must sum to 1 within 1e-9, got {sum(self.ratios)}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 def gen_synthetic(k: int, n_per_class: int, dim: int, overlap: float, seed: int) -> Dataset:
@@ -94,6 +99,8 @@ def gen_synthetic(k: int, n_per_class: int, dim: int, overlap: float, seed: int)
         raise DomainError(f"need at least 2 feature dimensions, got {dim}")
     if not (math.isfinite(overlap) and overlap >= 0):
         raise DomainError(f"overlap must be finite and non-negative, got {overlap}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     means = np.zeros((k, dim))
     if dim >= k:
@@ -152,36 +159,29 @@ class LogFormat(Enum):
             raise DomainError(f"unknown prediction log format {name!r}") from None
 
 
-def _finalize_row(probs: list[float], label: int, k: int | None, line: int) -> tuple[np.ndarray, int]:
-    if k is not None and len(probs) != k:
-        raise MalformedRowError(f"expected {k} probabilities, got {len(probs)}", line)
-    p = np.array(probs, dtype=np.float64)
-    if p.shape[0] < 2:
-        raise MalformedRowError(f"need at least 2 probabilities, got {p.shape[0]}", line)
-    if not np.all(np.isfinite(p)):
-        raise MalformedRowError("non-finite probability", line)
-    if np.any(p < 0):
-        raise MalformedRowError("negative probability", line)
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-3:
-        raise ProbabilitySumError(
-            f"probabilities sum to {total:.6f}, outside 1 +/- 1e-3", line
-        )
-    p /= total
-    if not 0 <= label < p.shape[0]:
-        raise LabelRangeError(f"label {label} outside [0, {p.shape[0]})", line)
-    return p, label
+def _utf8_lines(fh):
+    """Lines of a file opened with errors="surrogateescape": a non-UTF-8
+    byte decodes to a lone surrogate, which fails to re-encode."""
+    for line_no, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedRowError("not valid UTF-8", line_no) from None
+        yield line
 
 
 def _iter_jsonl_rows(path: Path):
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, raw in enumerate(_utf8_lines(fh), start=1):
             if not raw.strip():
                 raise MalformedRowError("blank line", line_no)
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise MalformedRowError(f"invalid JSON ({exc.msg})", line_no) from None
+            except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
+                raise MalformedRowError(f"invalid JSON ({exc})", line_no) from None
             if not isinstance(obj, dict) or "probs" not in obj or "label" not in obj:
                 raise MalformedRowError('expected {"probs": [...], "label": int}', line_no)
             probs, label = obj["probs"], obj["label"]
@@ -191,12 +191,16 @@ def _iter_jsonl_rows(path: Path):
                 raise MalformedRowError("probs must be a list of numbers", line_no)
             if not isinstance(label, int) or isinstance(label, bool):
                 raise MalformedRowError("label must be an integer", line_no)
-            yield line_no, [float(x) for x in probs], label
+            try:
+                probs = [float(x) for x in probs]
+            except OverflowError:
+                raise MalformedRowError("probability too large for a float", line_no) from None
+            yield line_no, probs, label
 
 
 def _iter_csv_rows(path: Path):
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(_utf8_lines(fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -217,23 +221,65 @@ def _iter_csv_rows(path: Path):
             yield line_no, probs, label
 
 
-def load_predictions(path, fmt: LogFormat) -> list[PredictionRecord]:
-    """Load an external prediction log into validated records.
+def _checked_arrays(flat: array, labels: list[int], k: int,
+                    first_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalized probs and labels; raises on the first faulty row, whose
+    faults are checked in the order non-finite, negative, sum, label."""
+    p = np.frombuffer(flat, dtype=np.float64).reshape(-1, k)
+    try:
+        y = np.array(labels, dtype=np.int64)
+    except OverflowError:  # a label past int64 is out of range anyway
+        y = np.array([min(max(v, -1), k) for v in labels], dtype=np.int64)
+    non_finite = ~np.isfinite(p).all(axis=1)
+    negative = (p < 0).any(axis=1)
+    totals = p.sum(axis=1)
+    off_sum = np.abs(totals - 1.0) > 1e-3
+    off_label = (y < 0) | (y >= k)
+    faulty = non_finite | negative | off_sum | off_label
+    if faulty.any():
+        row = int(np.argmax(faulty))
+        line = first_line + row
+        if non_finite[row]:
+            raise MalformedRowError("non-finite probability", line)
+        if negative[row]:
+            raise MalformedRowError("negative probability", line)
+        if off_sum[row]:
+            raise ProbabilitySumError(
+                f"probabilities sum to {float(totals[row]):.6f}, outside 1 +/- 1e-3", line
+            )
+        raise LabelRangeError(f"label {labels[row]} outside [0, {k})", line)
+    return p / totals[:, None], y
+
+
+def load_predictions(path, fmt: LogFormat) -> Predictions:
+    """Load an external prediction log into validated predictions.
 
     Raises a distinct error for a missing file, a malformed row, a
     probability sum outside tolerance, or an out-of-range label; row
-    errors carry the 1-based line number.
+    errors carry the 1-based line number of the first faulty line.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingLogError(f"prediction log not found: {path}")
     rows = _iter_jsonl_rows(path) if fmt is LogFormat.JSONL else _iter_csv_rows(path)
-    records: list[PredictionRecord] = []
-    k: int | None = None
-    for line_no, probs, label in rows:
-        p, label = _finalize_row(probs, label, k, line_no)
-        k = p.shape[0]
-        records.append(PredictionRecord.from_probs(p, label))
-    if not records:
+    # One flat typed buffer: a list of per-row lists would take about twice the memory.
+    flat, labels = array("d"), []
+    k = first_line = None
+    try:
+        for line_no, probs, label in rows:
+            if k is None:
+                if len(probs) < 2:
+                    raise MalformedRowError(f"need at least 2 probabilities, got {len(probs)}", line_no)
+                k, first_line = len(probs), line_no
+            elif len(probs) != k:
+                raise MalformedRowError(f"expected {k} probabilities, got {len(probs)}", line_no)
+            flat.extend(probs)
+            labels.append(label)
+    except MalformedRowError:
+        if k is not None:
+            # A value fault on an earlier line is reported before this one.
+            _checked_arrays(flat, labels, k, first_line)
+        raise
+    if k is None:
         raise PredictionLogError("file contains no prediction rows")
-    return records
+    return Predictions(*_checked_arrays(flat, labels, k, first_line))

@@ -6,12 +6,14 @@ which is at least 1/K) is assigned to bin 0 so the mapping is total. The
 expected calibration error is the bin-count-weighted mean absolute gap
 between per-bin accuracy and per-bin mean confidence; empty bins carry
 zero weight.
+
+Every scorer reads one :class:`Predictions`: an (n, K) probability matrix
+and its n true labels, held as arrays and validated once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,51 +22,50 @@ from .kernels import bin_edges, reliability_sums
 
 
 @dataclass(frozen=True, eq=False)
-class PredictionRecord:
-    """One sample's probability vector plus derived and true labels.
+class Predictions:
+    """An (n, K) probability matrix with one true label per row.
 
-    ``predicted_class`` is the argmax of ``probs`` (lowest index wins ties)
-    and ``confidence`` is the corresponding probability; both are always
-    recomputed from ``probs``, never trusted from external input.
+    ``predicted`` (first argmax) and ``confidence`` (the probability there)
+    are computed at construction. ``from_probs`` validates its input; the
+    plain constructor trusts float64 (n, K) rows and int64 labels.
     """
 
     probs: np.ndarray
-    predicted_class: int
-    confidence: float
-    true_class: int
+    labels: np.ndarray
+    predicted: np.ndarray = field(init=False)
+    confidence: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        predicted = np.argmax(self.probs, axis=1)
+        object.__setattr__(self, "predicted", predicted)
+        confidence = self.probs[np.arange(predicted.shape[0]), predicted]
+        object.__setattr__(self, "confidence", confidence)
 
     @classmethod
-    def from_probs(cls, probs, true_class: int) -> "PredictionRecord":
+    def from_probs(cls, probs, labels) -> "Predictions":
         p = np.array(probs, dtype=np.float64)
-        if p.ndim != 1 or p.shape[0] < 2:
-            raise DomainError(f"probs must be a vector of K >= 2 entries, got shape {p.shape}")
+        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
+            raise DomainError(f"expected an (n, K) matrix, n >= 1, K >= 2, got shape {p.shape}")
+        try:
+            y = np.array(labels, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("labels outside the int64 range") from None
+        if y.shape != (p.shape[0],):
+            raise DomainError("probs and labels disagree on sample count")
         if not np.all(np.isfinite(p)):
             raise DomainError("probs contain non-finite entries")
         if np.any(p < 0.0):
             raise DomainError("probs contain negative entries")
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-9:
+        totals = p.sum(axis=1)
+        off = np.abs(totals - 1.0) > 1e-9
+        if off.any():
+            total = float(totals[np.argmax(off)])
             raise DomainError(f"probs sum to {total!r}, expected 1 within 1e-9")
-        k = p.shape[0]
-        true_class = int(true_class)
-        if not 0 <= true_class < k:
-            raise DomainError(f"true_class {true_class} outside [0, {k})")
-        pred = int(np.argmax(p))
-        return cls(probs=p, predicted_class=pred, confidence=float(p[pred]), true_class=true_class)
-
-    @property
-    def correct(self) -> bool:
-        return self.predicted_class == self.true_class
-
-
-def records_from_probs(probs: np.ndarray, labels: Sequence[int]) -> list[PredictionRecord]:
-    """Build one record per row of an (n, K) probability matrix."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise DomainError(f"expected an (n, K) probability matrix, got shape {probs.shape}")
-    if probs.shape[0] != len(labels):
-        raise DomainError("probs and labels disagree on sample count")
-    return [PredictionRecord.from_probs(row, y) for row, y in zip(probs, labels)]
+        k = p.shape[1]
+        outside = (y < 0) | (y >= k)
+        if outside.any():
+            raise DomainError(f"true_class {int(y[np.argmax(outside)])} outside [0, {k})")
+        return cls(p, y)
 
 
 @dataclass(frozen=True)
@@ -106,19 +107,13 @@ def bin_index(confidence: float, n_bins: int) -> int:
     return int(np.searchsorted(edges, confidence, side="left"))
 
 
-def build_reliability_table(records: Iterable[PredictionRecord], n_bins: int) -> ReliabilityTable:
-    """Bin records by confidence and aggregate per-bin accuracy and confidence."""
-    records = list(records)
-    if not records:
-        raise DomainError("cannot build a reliability table from zero records")
+def build_reliability_table(preds: Predictions, n_bins: int) -> ReliabilityTable:
+    """Bin rows by confidence and aggregate per-bin accuracy and confidence."""
     if n_bins < 1:
         raise DomainError(f"bin count must be >= 1, got {n_bins}")
-    k = records[0].probs.shape[0]
-    if any(r.probs.shape[0] != k for r in records):
-        raise DomainError("records disagree on class count K")
-    conf = np.array([r.confidence for r in records], dtype=np.float64)
-    correct = np.array([1.0 if r.correct else 0.0 for r in records], dtype=np.float64)
-    counts, acc_sums, conf_sums = reliability_sums(conf, correct, bin_edges(n_bins), n_bins)
+    correct = (preds.predicted == preds.labels).astype(np.float64)
+    counts, acc_sums, conf_sums = reliability_sums(
+        preds.confidence, correct, bin_edges(n_bins), n_bins)
     bins = []
     for m in range(n_bins):
         c = int(counts[m])
@@ -126,7 +121,7 @@ def build_reliability_table(records: Iterable[PredictionRecord], n_bins: int) ->
             bins.append(BinStats(0, 0.0, 0.0))
         else:
             bins.append(BinStats(c, float(acc_sums[m] / c), float(conf_sums[m] / c)))
-    return ReliabilityTable(m=n_bins, bins=tuple(bins), n=len(records))
+    return ReliabilityTable(m=n_bins, bins=tuple(bins), n=correct.shape[0])
 
 
 def ece(table: ReliabilityTable) -> float:
@@ -156,19 +151,11 @@ class ClassificationReport:
     accuracy: float
 
 
-def classification_report(records: Iterable[PredictionRecord], k: int) -> ClassificationReport:
-    """Per-class and macro-averaged classification metrics over K classes."""
-    records = list(records)
-    if not records:
-        raise DomainError("cannot compute classification metrics from zero records")
-    if k < 1:
-        raise DomainError(f"class count must be >= 1, got {k}")
-    true = np.array([r.true_class for r in records], dtype=np.int64)
-    pred = np.array([r.predicted_class for r in records], dtype=np.int64)
-    if true.min() < 0 or true.max() >= k or pred.min() < 0 or pred.max() >= k:
-        raise DomainError(f"labels or predictions outside [0, {k})")
+def classification_report(preds: Predictions) -> ClassificationReport:
+    """Per-class and macro-averaged classification metrics over the K columns."""
+    k = preds.probs.shape[1]
     cm = np.zeros((k, k), dtype=np.int64)
-    np.add.at(cm, (true, pred), 1)
+    np.add.at(cm, (preds.labels, preds.predicted), 1)
     per_class = []
     for c in range(k):
         tp = float(cm[c, c])
@@ -183,5 +170,5 @@ def classification_report(records: Iterable[PredictionRecord], k: int) -> Classi
         macro_precision=float(np.mean([p for p, _, _ in per_class])),
         macro_recall=float(np.mean([r for _, r, _ in per_class])),
         macro_f1=float(np.mean([f for _, _, f in per_class])),
-        accuracy=float(np.trace(cm) / len(records)),
+        accuracy=float(np.trace(cm) / preds.labels.shape[0]),
     )

@@ -8,14 +8,12 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .data import LogFormat
 from .errors import DomainError
-from .metrics import ClassificationReport, PredictionRecord, ReliabilityTable
+from .metrics import ClassificationReport, Predictions, ReliabilityTable
 
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 20.0
@@ -170,28 +168,19 @@ def comparison_table(entries: list[tuple[str, ClassificationReport, float]]) -> 
     return "\n".join(lines) + "\n"
 
 
-def save_predictions(records: list[PredictionRecord], path, fmt: LogFormat) -> None:
-    """Write records in the JSONL/CSV schema that load_predictions reads.
+def save_predictions(preds: Predictions, path, fmt: LogFormat) -> None:
+    """Write predictions in the JSONL/CSV schema that load_predictions reads.
 
-    Floats are written with full repr precision, so a save/load round
-    trip reproduces the probabilities (far inside the 1e-9 tolerance).
-    Refuses an empty record list before creating any file.
+    Floats are written with full repr precision (what ``json.dumps``
+    writes), so a save/load round trip reproduces the probabilities (far
+    inside the 1e-9 tolerance).
     """
-    if not records:
-        raise DomainError("cannot save an empty record list")
-    k = records[0].probs.shape[0]
-    if any(r.probs.shape[0] != k for r in records):
-        raise DomainError("records disagree on the number of classes")
-    path = Path(path)
-    if fmt is LogFormat.JSONL:
-        lines = [
-            json.dumps({"probs": [float(p) for p in r.probs], "label": int(r.true_class)})
-            for r in records
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        return
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"p{i}" for i in range(k)] + ["label"])
-        for r in records:
-            writer.writerow([repr(float(p)) for p in r.probs] + [int(r.true_class)])
+    # Row by row, so the matrix never exists as Python floats all at once.
+    rows = zip(preds.probs, preds.labels.tolist())
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        if fmt is LogFormat.JSONL:
+            fh.writelines(f'{{"probs": [{", ".join(map(repr, p.tolist()))}], "label": {y}}}\n'
+                          for p, y in rows)
+        else:
+            fh.write(",".join([f"p{i}" for i in range(preds.probs.shape[1])] + ["label"]) + "\n")
+            fh.writelines(f"{','.join(map(repr, p.tolist()))},{y}\n" for p, y in rows)

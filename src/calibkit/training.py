@@ -27,11 +27,11 @@ from .losses import (
 )
 from .metrics import (
     ClassificationReport,
+    Predictions,
     ReliabilityTable,
     build_reliability_table,
     classification_report,
     ece,
-    records_from_probs,
 )
 
 
@@ -232,25 +232,11 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
 
 
 def evaluate(
-    params: ModelParams, data, n_bins: int, k: int | None = None
+    preds: Predictions, n_bins: int
 ) -> tuple[ClassificationReport, float, ReliabilityTable]:
-    """Classification report, ECE, and reliability table at ``n_bins``.
-
-    ``data`` is a Dataset (runs the model) or a list of PredictionRecord
-    (scores an external log; ``params`` may then be None).
-    """
-    if isinstance(data, Dataset):
-        probs = softmax(forward(params, data.features))
-        records = records_from_probs(probs, data.labels)
-        k = data.k
-    else:
-        records = list(data)
-        if not records:
-            raise DomainError("cannot evaluate an empty record list")
-        if k is None:
-            k = records[0].probs.shape[0]
-    table = build_reliability_table(records, n_bins)
-    return classification_report(records, k), ece(table), table
+    """Classification report, ECE, and reliability table at ``n_bins``."""
+    table = build_reliability_table(preds, n_bins)
+    return classification_report(preds), ece(table), table
 
 
 def train(
@@ -297,7 +283,8 @@ def train(
                 seconds=time.perf_counter() - tic,
             )
         )
-    report, final_ece, table = evaluate(params, val_set, config.eval_bins)
+    val_preds = Predictions.from_probs(softmax(forward(params, val_set.features)), val_set.labels)
+    report, final_ece, table = evaluate(val_preds, config.eval_bins)
     return params, TrainReport(
         epochs=tuple(stats),
         final_report=report,

@@ -16,7 +16,7 @@ import pytest
 from calibkit import (
     LogFormat,
     LossConfig,
-    PredictionRecord,
+    Predictions,
     SplitSpec,
     TrainConfig,
     TrainingMode,
@@ -29,7 +29,6 @@ from calibkit import (
     gen_synthetic,
     kernels,
     load_predictions,
-    records_from_probs,
     save_predictions,
     soft_ece,
     soft_ece_grad,
@@ -51,19 +50,21 @@ def announce(capsys):
     return _announce
 
 
-def brute_force_ece(records, m):
+def brute_force_ece(preds, m):
     """Straight-from-the-definition double loop, kept independent of the
     library's binning helpers."""
+    records = list(zip(preds.confidence.tolist(), preds.predicted.tolist(),
+                       preds.labels.tolist()))
     n = len(records)
     total = 0.0
     for b in range(1, m + 1):
         lo, hi = (b - 1) / m, b / m
-        members = [r for r in records
-                   if (r.confidence > lo or b == 1) and (r.confidence <= hi or b == m)]
+        members = [(conf, pred, true) for conf, pred, true in records
+                   if (conf > lo or b == 1) and (conf <= hi or b == m)]
         if not members:
             continue
-        acc = sum(r.predicted_class == r.true_class for r in members) / len(members)
-        conf = sum(r.confidence for r in members) / len(members)
+        acc = sum(pred == true for _, pred, true in members) / len(members)
+        conf = sum(c for c, _, _ in members) / len(members)
         total += len(members) / n * abs(acc - conf)
     return total
 
@@ -72,7 +73,7 @@ def random_records(rng, n, k):
     probs = rng.dirichlet(rng.uniform(0.3, 3.0, size=k), size=n)
     probs /= probs.sum(axis=1, keepdims=True)
     labels = rng.integers(0, k, size=n)
-    return records_from_probs(probs, labels)
+    return Predictions.from_probs(probs, labels)
 
 
 def test_criterion_1_hard_ece_matches_brute_force(announce):
@@ -198,7 +199,7 @@ def test_criterion_3_surrogate_tracks_hard_metric_when_confident(announce):
         labels = rng.integers(0, k, n)
         probs = ((1.0 - conf[:, None]) / (k - 1)) * np.ones((n, k))
         probs[np.arange(n), labels] = conf  # every prediction confident & correct
-        hard = ece(build_reliability_table(records_from_probs(probs, labels), 10))
+        hard = ece(build_reliability_table(Predictions.from_probs(probs, labels), 10))
         soft = soft_ece(probs, labels, 10)
         worst = max(worst, abs(soft - hard))
     mid = soft_indicator(0.5)
@@ -232,7 +233,8 @@ def seed_sweep():
                               seed=seed, loss=loss, mode=mode, hidden_dim=16,
                               eval_bins=15)
             params, _ = train(tr, va, cfg)
-            report, test_ece, _ = evaluate(params, te, 15)
+            preds = Predictions.from_probs(softmax(forward(params, te.features)), te.labels)
+            report, test_ece, _ = evaluate(preds, 15)
             per_seed.append((test_ece, report.accuracy))
         results[mode] = per_seed
     return results, time.perf_counter() - tic
@@ -301,16 +303,17 @@ def test_criterion_7_determinism_and_round_trip(announce, tmp_path):
             for name in ("reliability.svg", "report.json", "predictions.jsonl")}
 
     rng = np.random.default_rng(0)
-    records = []
+    rows, labels = [], []
     for _ in range(40):
         p = rng.dirichlet(np.ones(4))
-        records.append(PredictionRecord.from_probs(p / p.sum(), int(rng.integers(0, 4))))
+        rows.append(p / p.sum())
+        labels.append(int(rng.integers(0, 4)))
+    records = Predictions.from_probs(rows, labels)
     max_err = 0.0
     for fmt, name in ((LogFormat.JSONL, "r.jsonl"), (LogFormat.CSV, "r.csv")):
         save_predictions(records, tmp_path / name, fmt)
         loaded = load_predictions(tmp_path / name, fmt)
-        for orig, back in zip(records, loaded):
-            max_err = max(max_err, float(np.abs(orig.probs - back.probs).max()))
+        max_err = max(max_err, float(np.abs(records.probs - loaded.probs).max()))
 
     ok = manifests_equal and all(same.values()) and max_err < 1e-9
     announce(7, "byte-identical reruns and lossless log round-trip", ok,

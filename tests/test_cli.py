@@ -57,6 +57,18 @@ class TestEval:
         manifest = json.loads(svg.with_suffix(".run.json").read_text())
         assert manifest["version"] == __version__
 
+    @pytest.mark.parametrize("body", [
+        b'{"probs": [1%s, 0], "label": 0}\n' % (b"0" * 400),
+        b'{"probs": [1%s, 0], "label": 0}\n' % (b"0" * 5000),
+        b'{"probs": [0.5, 0.5], "label": 0, "note": "\xff"}\n',
+    ], ids=["400-digit", "5000-digit", "not-utf8"])
+    def test_unreadable_row_names_the_line(self, tmp_path, capsys, body):
+        log = tmp_path / "p.jsonl"
+        log.write_bytes(b'{"probs": [0.5, 0.5], "label": 0}\n' + body)
+        code = run_cli(["eval", "--predictions", str(log)])
+        assert code == 1
+        assert "error: line 2:" in capsys.readouterr().err
+
     def test_csv_format_flag(self, tmp_path, capsys):
         log = tmp_path / "p.csv"
         log.write_text("p0,p1,label\n0.9,0.1,0\n0.2,0.8,1\n")
@@ -133,6 +145,13 @@ class TestTrain:
         del args[args.index("--seed"):args.index("--seed") + 2]
         assert run_cli(args) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_env_fails_cleanly(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CALIB_SEED", "-3")
+        args = train_args(tmp_path / "run", "--mode", "vanilla")
+        del args[args.index("--seed"):args.index("--seed") + 2]
+        assert run_cli(args) == 1
+        assert "seed must be non-negative, got -3" in capsys.readouterr().err
 
 
 class TestCompareAndDiagram:
@@ -224,6 +243,8 @@ class TestUsage:
         ("--lr", "inf", "learning_rate"),
         ("--lr", "nan", "learning_rate"),
         ("--overlap", "nan", "overlap"),
+        ("--split", "nan,0.5,0.5", "ratios"),
+        ("--seed", "-1", "seed"),
     ])
     def test_non_finite_config_is_rejected_up_front(self, tmp_path, capsys,
                                                     flag, value, field):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibkit import (
     Dataset,
@@ -74,6 +76,8 @@ class TestGenSynthetic:
             gen_synthetic(3, 10, 1, 1.0, 0)
         with pytest.raises(DomainError):
             gen_synthetic(3, 10, 4, -0.5, 0)
+        with pytest.raises(DomainError, match="seed"):
+            gen_synthetic(3, 10, 4, 1.0, -1)
 
 
 class TestSplit:
@@ -112,6 +116,10 @@ class TestSplit:
         with pytest.raises(DomainError):
             SplitSpec((0.7, 0.3, 0.0), 0)
         with pytest.raises(DomainError):
+            SplitSpec((float("nan"), 0.5, 0.5), 0)
+        with pytest.raises(DomainError, match="seed"):
+            SplitSpec((0.7, 0.2, 0.1), -1)
+        with pytest.raises(DomainError):
             split(gen_synthetic(2, 2, 4, 1.0, 0), SplitSpec((0.9, 0.05, 0.05), 0))
 
 
@@ -121,17 +129,17 @@ class TestLoadPredictionsJsonl:
         f.write_text('{"probs": [0.7, 0.3], "label": 0}\n'
                      '{"probs": [0.2, 0.8], "label": 0}\n')
         recs = load_predictions(f, LogFormat.JSONL)
-        assert len(recs) == 2
-        assert recs[0].predicted_class == 0
-        assert recs[0].confidence == pytest.approx(0.7)
-        assert recs[1].predicted_class == 1
-        assert not recs[1].correct
+        assert len(recs.labels) == 2
+        assert recs.predicted[0] == 0
+        assert recs.confidence[0] == pytest.approx(0.7)
+        assert recs.predicted[1] == 1
+        assert recs.predicted[1] != recs.labels[1]
 
     def test_mild_sum_deviation_is_renormalized(self, tmp_path):
         f = tmp_path / "p.jsonl"
         f.write_text('{"probs": [0.5000001, 0.5], "label": 1}\n')
-        (rec,) = load_predictions(f, LogFormat.JSONL)
-        assert rec.probs.sum() == pytest.approx(1.0, abs=1e-9)
+        (row,) = load_predictions(f, LogFormat.JSONL).probs
+        assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_sum_out_of_tolerance_names_the_line(self, tmp_path):
         f = tmp_path / "p.jsonl"
@@ -153,12 +161,49 @@ class TestLoadPredictionsJsonl:
             '{"probs": [0.5, 0.5]}',
             '{"probs": [0.5, 0.5], "label": 0.5}',
             '{"probs": [0.6, 0.4, 0.0], "label": 0}\n{"probs": [0.5, 0.5], "label": 0}',
+            "[" * 100_000,
         ]
         for body in cases:
             f = tmp_path / "p.jsonl"
             f.write_text(body + "\n")
             with pytest.raises(MalformedRowError):
                 load_predictions(f, LogFormat.JSONL)
+
+    def test_overlong_integer_probability_names_the_line(self, tmp_path):
+        f = tmp_path / "p.jsonl"
+        f.write_text('{"probs": [0.5, 0.5], "label": 0}\n'
+                     '{"probs": [1%s, 0], "label": 0}\n' % ("0" * 400))
+        with pytest.raises(MalformedRowError, match="line 2"):
+            load_predictions(f, LogFormat.JSONL)
+
+    def test_integer_past_the_digit_limit_names_the_line(self, tmp_path):
+        f = tmp_path / "p.jsonl"
+        f.write_text('{"probs": [0.5, 0.5], "label": 0}\n'
+                     '{"probs": [1%s, 0], "label": 0}\n' % ("0" * 5000))
+        with pytest.raises(MalformedRowError, match="line 2"):
+            load_predictions(f, LogFormat.JSONL)
+
+    @pytest.mark.parametrize("fmt, body, line", [
+        (LogFormat.JSONL, b'{"probs": [0.5, 0.5], "label": 0}\n'
+                          b'{"probs": [0.5, 0.5], "label": 0, "note": "\xff"}\n', 2),
+        (LogFormat.CSV, b"p0,p1,label\n0.5,0.5,0\n0.5,0.5,0\xfe\n", 3),
+    ], ids=["jsonl", "csv"])
+    def test_non_utf8_bytes_name_the_line(self, tmp_path, fmt, body, line):
+        f = tmp_path / "p.log"
+        f.write_bytes(body)
+        with pytest.raises(MalformedRowError, match=f"line {line}: not valid UTF-8"):
+            load_predictions(f, fmt)
+
+    @pytest.mark.parametrize("probs, error, message", [
+        ("[NaN, -0.5, 0.5]", MalformedRowError, "non-finite"),
+        ("[-0.5, 0.5, 0.5]", MalformedRowError, "negative"),
+        ("[0.5, 0.5, 0.5]", ProbabilitySumError, "sum"),
+    ])
+    def test_row_faults_are_checked_in_order(self, tmp_path, probs, error, message):
+        f = tmp_path / "p.jsonl"
+        f.write_text('{"probs": %s, "label": 9}\n' % probs)  # label 9 is out of range too
+        with pytest.raises(error, match=message):
+            load_predictions(f, LogFormat.JSONL)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingLogError):
@@ -182,8 +227,8 @@ class TestLoadPredictionsCsv:
         f = tmp_path / "p.csv"
         f.write_text("p0,p1,p2,label\n0.6,0.3,0.1,0\n0.1,0.1,0.8,2\n")
         recs = load_predictions(f, LogFormat.CSV)
-        assert [r.predicted_class for r in recs] == [0, 2]
-        assert all(r.correct for r in recs)
+        assert recs.predicted.tolist() == [0, 2]
+        assert all(recs.predicted == recs.labels)
 
     def test_bad_header_rejected(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -216,3 +261,56 @@ def test_format_names():
     assert LogFormat.from_name("csv") is LogFormat.CSV
     with pytest.raises(DomainError):
         LogFormat.from_name("xml")
+
+
+GOOD_ROW = {LogFormat.JSONL: b'{"probs": [0.25, 0.25, 0.5], "label": 1}',
+            LogFormat.CSV: b"0.25,0.25,0.5,1"}
+HEADER = {LogFormat.JSONL: [], LogFormat.CSV: [b"p0,p1,p2,label"]}
+# One faulty row per kind, with the error class it must raise.
+FAULTS = {
+    LogFormat.JSONL: {
+        "invalid JSON": (b'{"probs": [0.25, 0.25, 0.5], "label": 1', MalformedRowError),
+        "blank": (b"", MalformedRowError),
+        "one probability": (b'{"probs": [1.0], "label": 0}', MalformedRowError),
+        "400-digit integer": (b'{"probs": [1%s, 0, 0], "label": 1}' % (b"0" * 400),
+                              MalformedRowError),
+        "not UTF-8": (b'{"probs": [0.25, 0.25, 0.5], "label": 1, "x": "\xff"}',
+                      MalformedRowError),
+        "non-finite": (b'{"probs": [NaN, 0.5, 0.5], "label": 1}', MalformedRowError),
+        "negative": (b'{"probs": [-0.5, 1.0, 0.5], "label": 1}', MalformedRowError),
+        "sum": (b'{"probs": [0.5, 0.5, 0.5], "label": 1}', ProbabilitySumError),
+        "label": (b'{"probs": [0.25, 0.25, 0.5], "label": 3}', LabelRangeError),
+        "label past int64": (b'{"probs": [0.25, 0.25, 0.5], "label": %d}' % 2**70,
+                             LabelRangeError),
+    },
+    LogFormat.CSV: {
+        "columns": (b"0.5,0.5,1", MalformedRowError),
+        "blank": (b"", MalformedRowError),
+        "unparseable": (b"x,0.5,0.5,1", MalformedRowError),
+        "not UTF-8": (b"0.25,0.25,0.5,1\xff", MalformedRowError),
+        "non-finite": (b"nan,0.5,0.5,1", MalformedRowError),
+        "negative": (b"-0.5,1.0,0.5,1", MalformedRowError),
+        "sum": (b"0.5,0.5,0.5,1", ProbabilitySumError),
+        "label": (b"0.25,0.25,0.5,3", LabelRangeError),
+        "label past int64": (b"0.25,0.25,0.5,%d" % 2**70, LabelRangeError),
+    },
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(fmt=st.sampled_from(list(LogFormat)), n=st.integers(1, 25), data=st.data())
+def test_the_first_faulty_line_is_reported(tmp_path_factory, fmt, n, data):
+    """A parse fault on a later line never hides a value fault on an earlier one."""
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    kinds = [data.draw(st.sampled_from(sorted(FAULTS[fmt]))) for _ in rows]
+    lines = HEADER[fmt] + [GOOD_ROW[fmt]] * n
+    for row, kind in zip(rows, kinds):
+        lines[len(HEADER[fmt]) + row] = FAULTS[fmt][kind][0]
+    f = tmp_path_factory.mktemp("faults") / "p.log"
+    f.write_bytes(b"\n".join(lines) + b"\n")
+    first = min(rows)
+    expected = FAULTS[fmt][kinds[rows.index(first)]][1]
+    with pytest.raises(PredictionLogError) as info:
+        load_predictions(f, fmt)
+    assert type(info.value) is expected
+    assert info.value.line == len(HEADER[fmt]) + first + 1

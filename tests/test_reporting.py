@@ -5,13 +5,15 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibkit import (
     ClassificationReport,
     DiagramStyle,
     DomainError,
     LogFormat,
-    PredictionRecord,
+    Predictions,
     build_reliability_table,
     comparison_table,
     load_predictions,
@@ -23,8 +25,8 @@ PLOT_W = 640.0 - 64.0 - 20.0
 PLOT_H = 480.0 - 20.0 - 56.0
 
 
-def rec(probs, label):
-    return PredictionRecord.from_probs(probs, label)
+def rec(rows, labels):
+    return Predictions.from_probs(rows, labels)
 
 
 def rects_of(svg, cls):
@@ -39,7 +41,7 @@ class TestReliabilitySvg:
     def test_single_occupied_bin_draws_one_bar_pair(self, tmp_path):
         # both records land in the upper of two bins: acc 1.0, mean conf 0.85
         table = build_reliability_table(
-            [rec([0.9, 0.1], 0), rec([0.2, 0.8], 1)], 2
+            rec([[0.9, 0.1], [0.2, 0.8]], [0, 1]), 2
         )
         out = tmp_path / "d.svg"
         render_reliability_svg(table, out)
@@ -54,7 +56,7 @@ class TestReliabilitySvg:
 
     def test_zero_value_bars_are_omitted(self, tmp_path):
         # one confident but wrong prediction: accuracy 0 in its bin
-        table = build_reliability_table([rec([0.9, 0.1], 1)], 2)
+        table = build_reliability_table(rec([[0.9, 0.1]], [1]), 2)
         out = tmp_path / "d.svg"
         render_reliability_svg(table, out)
         svg = out.read_text()
@@ -66,9 +68,10 @@ class TestReliabilitySvg:
 
     def test_perfectly_calibrated_points_sit_on_the_diagonal(self, tmp_path):
         # bin conf equals bin accuracy in both occupied bins
-        records = (
-            [rec([0.5, 0.5], 0), rec([0.5, 0.5], 1)]            # conf .5, acc .5
-            + [rec([0.75, 0.25], 0)] * 3 + [rec([0.75, 0.25], 1)]  # conf .75, acc .75
+        records = rec(
+            [[0.5, 0.5], [0.5, 0.5]]                     # conf .5, acc .5
+            + [[0.75, 0.25]] * 3 + [[0.75, 0.25]],       # conf .75, acc .75
+            [0, 1] + [0] * 3 + [1],
         )
         table = build_reliability_table(records, 2)
         out = tmp_path / "d.svg"
@@ -82,7 +85,7 @@ class TestReliabilitySvg:
             assert v == pytest.approx(u, abs=1e-9)
 
     def test_curve_skips_empty_bins(self, tmp_path):
-        records = [rec([0.55, 0.45], 0), rec([0.95, 0.05], 0)]
+        records = rec([[0.55, 0.45], [0.95, 0.05]], [0, 0])
         table = build_reliability_table(records, 10)
         out = tmp_path / "d.svg"
         render_reliability_svg(table, out)
@@ -93,7 +96,7 @@ class TestReliabilitySvg:
         assert len(poly.split()) == 2
 
     def test_axis_label_names_the_bin_count(self, tmp_path):
-        table = build_reliability_table([rec([0.9, 0.1], 0)], 15)
+        table = build_reliability_table(rec([[0.9, 0.1]], [0]), 15)
         out = tmp_path / "d.svg"
         render_reliability_svg(table, out)
         svg = out.read_text()
@@ -101,7 +104,7 @@ class TestReliabilitySvg:
         assert "Accuracy / Confidence" in svg
 
     def test_labels_are_xml_escaped(self, tmp_path):
-        table = build_reliability_table([rec([0.9, 0.1], 0)], 2)
+        table = build_reliability_table(rec([[0.9, 0.1]], [0]), 2)
         out = tmp_path / "d.svg"
         style = DiagramStyle(x_label="p < q & r", y_label="a & b <c>")
         render_reliability_svg(table, out, style)
@@ -111,10 +114,12 @@ class TestReliabilitySvg:
 
     def test_output_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = []
+        rows, labels = [], []
         for _ in range(50):
             p = rng.dirichlet(np.ones(3))
-            records.append(rec(p / p.sum(), int(rng.integers(0, 3))))
+            rows.append(p / p.sum())
+            labels.append(int(rng.integers(0, 3)))
+        records = rec(rows, labels)
         table = build_reliability_table(records, 10)
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         render_reliability_svg(table, a)
@@ -129,13 +134,13 @@ class TestReliabilitySvg:
             DiagramStyle(bar_opacity=0.0)
         with pytest.raises(DomainError):
             render_reliability_svg(
-                build_reliability_table([rec([0.9, 0.1], 0)], 2),
+                build_reliability_table(rec([[0.9, 0.1]], [0]), 2),
                 "/dev/null",
                 DiagramStyle(width=50, height=50),
             )
 
     def test_custom_colors_appear(self, tmp_path):
-        table = build_reliability_table([rec([0.9, 0.1], 0)], 2)
+        table = build_reliability_table(rec([[0.9, 0.1]], [0]), 2)
         out = tmp_path / "d.svg"
         style = DiagramStyle(conf_color="#111111", acc_color="#222222")
         render_reliability_svg(table, out, style)
@@ -193,19 +198,19 @@ class TestSavePredictions:
         path = tmp_path / name
         save_predictions(records, path, fmt)
         loaded = load_predictions(path, fmt)
-        assert len(loaded) == len(records)
-        for orig, back in zip(records, loaded):
-            np.testing.assert_allclose(back.probs, orig.probs, atol=1e-9)
-            assert back.true_class == orig.true_class
-            assert back.predicted_class == orig.predicted_class
+        assert len(loaded.labels) == len(records.labels)
+        np.testing.assert_allclose(loaded.probs, records.probs, atol=1e-9)
+        np.testing.assert_array_equal(loaded.labels, records.labels)
+        np.testing.assert_array_equal(loaded.predicted, records.predicted)
 
     def make_records(self, k, n):
         rng = np.random.default_rng(17)
-        out = []
+        rows, labels = [], []
         for _ in range(n):
             p = rng.dirichlet(np.ones(k))
-            out.append(rec(p / p.sum(), int(rng.integers(0, k))))
-        return out
+            rows.append(p / p.sum())
+            labels.append(int(rng.integers(0, k)))
+        return rec(rows, labels)
 
     def test_jsonl_roundtrip(self, tmp_path):
         self.roundtrip(self.make_records(4, 30), tmp_path, LogFormat.JSONL, "p.jsonl")
@@ -221,10 +226,27 @@ class TestSavePredictions:
     def test_empty_list_rejected_before_writing(self, tmp_path):
         path = tmp_path / "p.jsonl"
         with pytest.raises(DomainError):
-            save_predictions([], path, LogFormat.JSONL)
+            save_predictions(rec(np.empty((0, 2)), []), path, LogFormat.JSONL)
         assert not path.exists()
 
-    def test_mixed_class_counts_rejected(self, tmp_path):
-        records = [rec([0.6, 0.4], 0), rec([0.5, 0.3, 0.2], 0)]
-        with pytest.raises(DomainError):
-            save_predictions(records, tmp_path / "p.jsonl", LogFormat.JSONL)
+
+@st.composite
+def predictions(draw):
+    k = draw(st.integers(2, 8))
+    rows = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k),
+                         min_size=1, max_size=20))
+    rows = [r if sum(r) > 0 else [1.0] * k for r in rows]
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=len(rows), max_size=len(rows)))
+    probs = np.array(rows)
+    return Predictions.from_probs(probs / probs.sum(axis=1, keepdims=True), labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(predictions(), st.sampled_from(list(LogFormat)))
+def test_save_load_round_trip(tmp_path_factory, preds, fmt):
+    path = tmp_path_factory.mktemp("roundtrip") / "p.log"
+    save_predictions(preds, path, fmt)
+    loaded = load_predictions(path, fmt)
+    np.testing.assert_array_equal(loaded.labels, preds.labels)
+    np.testing.assert_array_equal(loaded.predicted, preds.predicted)
+    np.testing.assert_allclose(loaded.probs, preds.probs, rtol=0, atol=1e-9)

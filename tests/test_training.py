@@ -10,7 +10,7 @@ from calibkit import (
     EpochStats,
     LossConfig,
     ModelParams,
-    PredictionRecord,
+    Predictions,
     SplitSpec,
     TrainConfig,
     TrainingMode,
@@ -26,6 +26,10 @@ from calibkit import (
     train,
     weighted_loss,
 )
+
+
+def predict(params, ds):
+    return Predictions.from_probs(softmax(forward(params, ds.features)), ds.labels)
 
 
 def small_config(mode=TrainingMode.VANILLA_NLL, epochs=5, **kw):
@@ -299,7 +303,7 @@ class TestEvaluate:
         """Zero weights => every confidence is exactly 1/K."""
         ds = gen_synthetic(4, 25, 6, 1.0, 0)
         p = ModelParams(w_out=np.zeros((6, 4)), b_out=np.zeros(4))
-        report, value, table = evaluate(p, ds, 15)
+        report, value, table = evaluate(predict(p, ds), 15)
         occupied = [b for b in table.bins if b.count > 0]
         assert len(occupied) == 1
         assert occupied[0].conf == 0.25
@@ -314,20 +318,19 @@ class TestEvaluate:
         cfg = TrainConfig(epochs=30, batch_size=32, learning_rate=0.1, seed=0,
                           loss=loss, mode=TrainingMode.VANILLA_NLL)
         params, _ = train(tr, va, cfg)
-        report, _, _ = evaluate(params, te, 15)
+        report, _, _ = evaluate(predict(params, te), 15)
         assert report.accuracy > 0.95
 
     def test_record_list_path_without_model(self):
-        recs = [PredictionRecord.from_probs([0.9, 0.1], 0),
-                PredictionRecord.from_probs([0.2, 0.8], 1)]
-        report, value, table = evaluate(None, recs, 2)
+        recs = Predictions.from_probs([[0.9, 0.1], [0.2, 0.8]], [0, 1])
+        report, value, table = evaluate(recs, 2)
         assert report.accuracy == 1.0
         assert value == pytest.approx(0.15, abs=1e-12)
         assert table.n == 2
 
     def test_empty_record_list_rejected(self):
         with pytest.raises(DomainError):
-            evaluate(None, [], 10)
+            evaluate(Predictions.from_probs(np.empty((0, 2)), []), 10)
 
 
 def test_mode_names():
