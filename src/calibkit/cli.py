@@ -29,7 +29,7 @@ from .errors import DomainError
 from .losses import IndicatorVariant, LossConfig, auto_gamma, softmax
 from .metrics import ClassificationReport, Predictions, build_reliability_table
 from .reporting import comparison_table, render_reliability_svg, save_predictions
-from .training import TrainConfig, TrainingMode, evaluate, forward, train
+from .training import TrainConfig, TrainingMode, evaluate, forward, train, train_arms
 
 _MODES = {
     "vanilla": TrainingMode.VANILLA_NLL,
@@ -224,12 +224,10 @@ def _report_section(report: ClassificationReport, ece_value: float) -> dict:
     }
 
 
-def _run_arm(args, seed: int, mode: TrainingMode, gamma_value: float,
-             splits, out_dir: Path, manifest: dict) -> tuple[ClassificationReport, float]:
-    """Train one arm, write its artifact set, return (test report, test ECE)."""
-    train_set, val_set, test_set = splits
-    config = _train_config(args, seed, mode, gamma_value)
-    params, report = train(train_set, val_set, config)
+def _write_arm(args, trained, test_set: Dataset, out_dir: Path,
+               manifest: dict) -> tuple[ClassificationReport, float]:
+    """Write one trained arm's artifact set, return (test report, test ECE)."""
+    params, report = trained
     preds = Predictions.from_probs(softmax(forward(params, test_set.features)), test_set.labels)
     test_report, test_ece, table = evaluate(preds, args.bins_eval)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,8 +255,9 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out)
     manifest = _manifest(args, command="train", seed=seed, mode=args.mode,
                          gamma_value=gamma_value, gamma_source=gamma_source)
-    test_report, test_ece = _run_arm(args, seed, _MODES[args.mode], gamma_value,
-                                     splits, out_dir, manifest)
+    trained = train(splits[0], splits[1],
+                    _train_config(args, seed, _MODES[args.mode], gamma_value))
+    test_report, test_ece = _write_arm(args, trained, splits[2], out_dir, manifest)
     print(f"mode: {args.mode}")
     print(f"gamma_e: {gamma_value:.6f} ({gamma_source})")
     print(f"test accuracy: {test_report.accuracy:.4f}")
@@ -341,12 +340,14 @@ def _cmd_experiment(args) -> int:
     gamma_value, gamma_source = _resolve_gamma(args, seed, splits[0], splits[1])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    names = ("vanilla", "curriculum", "fixed")
+    arms = train_arms(splits[0], splits[1],
+                      [_train_config(args, seed, _MODES[name], gamma_value) for name in names])
     entries = []
-    for name in ("vanilla", "curriculum", "fixed"):
+    for name, trained in zip(names, arms):
         manifest = _manifest(args, command="experiment", seed=seed, mode=name,
                              gamma_value=gamma_value, gamma_source=gamma_source)
-        test_report, test_ece = _run_arm(args, seed, _MODES[name], gamma_value,
-                                         splits, out_dir / name, manifest)
+        test_report, test_ece = _write_arm(args, trained, splits[2], out_dir / name, manifest)
         entries.append((name, test_report, test_ece))
         print(f"{name}: accuracy {test_report.accuracy:.4f}, ece {test_ece:.6f}")
     table_md = comparison_table(entries)

@@ -232,7 +232,8 @@ def _checked_arrays(flat: array, labels: list[int], k: int,
         y = np.array([min(max(v, -1), k) for v in labels], dtype=np.int64)
     non_finite = ~np.isfinite(p).all(axis=1)
     negative = (p < 0).any(axis=1)
-    totals = p.sum(axis=1)
+    with np.errstate(over="ignore"):  # finite entries can sum past the float max
+        totals = p.sum(axis=1)
     off_sum = np.abs(totals - 1.0) > 1e-3
     off_label = (y < 0) | (y >= k)
     faulty = non_finite | negative | off_sum | off_label

@@ -46,6 +46,11 @@ def soft_ece_backward(probs, labels, edges, eps, use_true_q):
     plus its exact gradient with respect to the logits that produced
     ``probs`` via softmax. Returns ``(value, dlogits)``.
 
+    ``probs`` is a stack of S batches (S, n, K) sharing the labels (n,);
+    the values come back as (S,) and the gradients as (S, n, K). One
+    (n, K) batch is a stack of one and gives a float and an (n, K) array.
+    Each batch's result is bit-identical to computing it on its own.
+
     Samples are binned by max probability. The smoothed correctness of a
     sample is sigmoid(tan(pi*q - pi/2)) with q the max probability, or the
     true-class probability when ``use_true_q``; q is clamped to
@@ -53,27 +58,35 @@ def soft_ece_backward(probs, labels, edges, eps, use_true_q):
     forward value; the absolute value uses sign with sign(0) = 0; the
     clamp contributes zero slope outside [eps, 1-eps].
     """
-    n = probs.shape[0]
+    if probs.ndim == 2:
+        value, dlogits = soft_ece_backward(probs[None], labels, edges, eps, use_true_q)
+        return float(value[0]), dlogits[0]
+    n_stack, n, _ = probs.shape
     n_bins = edges.shape[0] + 1
-    pred = np.argmax(probs, axis=1)
+    # Index with arrays on every axis: the gathers then come out C-ordered,
+    # which keeps the elementwise kernels below on their contiguous loops.
+    arm = np.arange(n_stack)[:, None]
     rows = np.arange(n)
-    conf = probs[rows, pred]
-    q = probs[rows, labels] if use_true_q else conf
+    pred = np.argmax(probs, axis=2)
+    conf = probs[arm, rows, pred]
+    q = probs[arm, rows, labels] if use_true_q else conf
     qc = np.clip(q, eps, 1.0 - eps)
     t = np.tan(np.pi * qc - 0.5 * np.pi)
     g = _sigmoid(t)
     bins = bin_indices(conf, edges)
-    gsum = np.bincount(bins, weights=g, minlength=n_bins)
-    csum = np.bincount(bins, weights=conf, minlength=n_bins)
-    value = float(np.abs(gsum - csum).sum() / n)
+    ids = (bins + n_bins * arm).ravel()  # batch s owns bins s*M .. s*M + M-1
+    gsum = np.bincount(ids, weights=g.ravel(), minlength=n_stack * n_bins)
+    csum = np.bincount(ids, weights=conf.ravel(), minlength=n_stack * n_bins)
+    gap = (gsum - csum).reshape(n_stack, n_bins)
+    value = np.abs(gap).sum(axis=1) / n
 
-    s = np.sign(gsum - csum)[bins] / n
+    s = np.sign(gap)[arm, bins] / n
     dgdq = g * (1.0 - g) * np.pi * (1.0 + t * t)
     dgdq[(q < eps) | (q > 1.0 - eps)] = 0.0
     dprobs = np.zeros_like(probs)
     qcol = labels if use_true_q else pred
-    np.add.at(dprobs, (rows, qcol), s * dgdq)
-    np.add.at(dprobs, (rows, pred), -s)
-    inner = np.einsum("ij,ij->i", dprobs, probs)
-    dlogits = probs * (dprobs - inner[:, None])
+    np.add.at(dprobs, (arm, rows, qcol), s * dgdq)
+    np.add.at(dprobs, (arm, rows, pred), -s)
+    inner = np.einsum("sij,sij->si", dprobs, probs)
+    dlogits = probs * (dprobs - inner[..., None])
     return value, dlogits

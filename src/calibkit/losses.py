@@ -93,6 +93,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise DomainError(f"softmax needs K >= 2 classes, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise DomainError("softmax input contains non-finite entries")
+    return _softmax(z)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -117,15 +121,23 @@ def nll_loss(probs, labels, epsilon: float = 1e-6):
     gradient is the usual (softmax - onehot) / batch_size.
     """
     p, y = _as_batch(probs, labels)
-    return _nll(p, y, epsilon)
+    loss, grad = _nll(p[None], y, epsilon)
+    return float(loss[0]), grad[0]
 
 
 def _nll(p: np.ndarray, y: np.ndarray, epsilon: float):
-    n = p.shape[0]
-    picked = np.maximum(p[np.arange(n), y], epsilon)
-    loss = float(-np.log(picked).mean())
+    """Per-batch mean NLL (S,) and logit gradient (S, n, K) of a stack of
+    S batches (S, n, K) sharing the labels (n,)."""
+    n = p.shape[1]
+    # Array indices on every axis give a C-ordered gather; a leading slice
+    # would give a strided one, on which np.log takes a loop that can round
+    # differently from the contiguous one.
+    arm = np.arange(p.shape[0])[:, None]
+    rows = np.arange(n)
+    picked = np.maximum(p[arm, rows, y], epsilon)
+    loss = -np.log(picked).mean(axis=1)
     grad = p.copy()
-    grad[np.arange(n), y] -= 1.0
+    grad[arm, rows, y] -= 1.0
     grad /= n
     return loss, grad
 
@@ -186,18 +198,28 @@ def weighted_loss(logits, labels, weight: float, config: LossConfig) -> LossValu
     """NLL plus ``weight`` times the calibration term, with joint gradient."""
     z = np.ascontiguousarray(logits, dtype=np.float64)
     p, y = _as_batch(softmax(z), labels)
+    nll, soft, grad = _joint_loss(p[None], y, np.array([weight], dtype=np.float64), config)
+    nll_value, soft_value = float(nll[0]), float(soft[0])
+    return LossValue(
+        nll=nll_value,
+        soft_ece=soft_value,
+        ece_weight=weight,
+        total=nll_value + weight * soft_value,
+        grad_logits=grad[0],
+    )
+
+
+def _joint_loss(p: np.ndarray, y: np.ndarray, weights: np.ndarray, config: LossConfig):
+    """NLL (S,), soft-ECE (S,) and the logit gradient (S, n, K) of
+    ``nll + weights[s] * soft_ece`` for a stack of S probability batches
+    (S, n, K) sharing the labels (n,). Inputs are trusted: callers check
+    them once, at their own boundary."""
     nll, nll_grad = _nll(p, y, config.epsilon)
-    soft_val, soft_grad = soft_ece_backward(
+    soft, soft_grad = soft_ece_backward(
         p, y, bin_edges(config.m_train), config.epsilon,
         config.indicator_variant is IndicatorVariant.TRUE_CLASS_PROB,
     )
-    return LossValue(
-        nll=nll,
-        soft_ece=soft_val,
-        ece_weight=weight,
-        total=nll + weight * soft_val,
-        grad_logits=nll_grad + weight * soft_grad,
-    )
+    return nll, soft, nll_grad + weights[:, None, None] * soft_grad
 
 
 def auto_gamma(nll_sample: float, soft_ece_sample: float) -> float:

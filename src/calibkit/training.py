@@ -5,6 +5,11 @@ reports. Initialization draws from ``default_rng(seed)``; the shuffle for
 epoch ``e`` draws from ``default_rng([seed, e])`` so epoch order never
 depends on how much randomness initialization consumed. Per-epoch wall
 time is recorded but excluded from report comparisons.
+
+Runs that share seed, data and schedule and differ only in their
+calibration weight train together in one loop over a leading model axis
+(:func:`train_arms`); :func:`train` is a stack of one. Each run in a
+stack is bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .errors import DomainError
 from .losses import (
     LossConfig,
     LossValue,
+    _joint_loss,
+    _softmax,
     curriculum_weight,
     softmax,
     weighted_loss,
@@ -147,7 +154,7 @@ def init_model(input_dim: int, hidden_dim: int, k: int, seed: int) -> ModelParam
     )
 
 
-def _forward_full(params: ModelParams, features: np.ndarray):
+def _check_features(params: ModelParams, features: np.ndarray) -> None:
     if features.ndim != 2:
         raise DomainError(f"features must be 2-D, got shape {features.shape}")
     expected = params.w_hidden.shape[0] if params.has_hidden else params.w_out.shape[0]
@@ -155,15 +162,56 @@ def _forward_full(params: ModelParams, features: np.ndarray):
         raise DomainError(
             f"features have {features.shape[1]} columns, model expects {expected}"
         )
+
+
+def _stack(params: ModelParams) -> ModelParams:
+    """One model as a stack of one: weights (1, d, h), biases (1, 1, h)."""
+    return ModelParams(
+        w_out=params.w_out[None],
+        b_out=params.b_out[None, None],
+        w_hidden=None if params.w_hidden is None else params.w_hidden[None],
+        b_hidden=None if params.b_hidden is None else params.b_hidden[None, None],
+    )
+
+
+def _arm(stacked: ModelParams, s: int) -> ModelParams:
+    """Model ``s`` of a stack, as views."""
+    return ModelParams(
+        w_out=stacked.w_out[s],
+        b_out=stacked.b_out[s, 0],
+        w_hidden=None if stacked.w_hidden is None else stacked.w_hidden[s],
+        b_hidden=None if stacked.b_hidden is None else stacked.b_hidden[s, 0],
+    )
+
+
+def _forward_stacked(params: ModelParams, features: np.ndarray):
+    """Logits (S, n, K) and tanh activations (S, n, h) (None for a linear
+    model) of a stack of S models on shared (n, d) features."""
     if not params.has_hidden:
         return features @ params.w_out + params.b_out, None
     hidden = np.tanh(features @ params.w_hidden + params.b_hidden)
     return hidden @ params.w_out + params.b_out, hidden
 
 
+def _grads_stacked(params: ModelParams, features, hidden, dlogits) -> ModelParams:
+    """Parameter gradients of a stack of S models from their logit
+    gradients (S, n, K), in the stack's own shapes."""
+    b_out = dlogits.sum(axis=1, keepdims=True)
+    if not params.has_hidden:
+        return ModelParams(w_out=features.T @ dlogits, b_out=b_out)
+    d_hidden = (dlogits @ params.w_out.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
+    return ModelParams(
+        w_out=hidden.transpose(0, 2, 1) @ dlogits,
+        b_out=b_out,
+        w_hidden=features.T @ d_hidden,
+        b_hidden=d_hidden.sum(axis=1, keepdims=True),
+    )
+
+
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Logits of shape (n, K)."""
-    return _forward_full(params, features)[0]
+    _check_features(params, features)
+    return _forward_stacked(_stack(params), features)[0][0]
 
 
 def _mode_weight(mode: TrainingMode, epoch: int, loss_cfg: LossConfig) -> float:
@@ -172,23 +220,6 @@ def _mode_weight(mode: TrainingMode, epoch: int, loss_cfg: LossConfig) -> float:
     if mode is TrainingMode.CALIBRATED_CURRICULUM:
         return curriculum_weight(epoch, loss_cfg)
     return loss_cfg.gamma_e
-
-
-def _backward_impl(params, features, labels, weight, loss_cfg):
-    logits, hidden = _forward_full(params, features)
-    value = weighted_loss(logits, labels, weight, loss_cfg)
-    dlogits = value.grad_logits
-    if not params.has_hidden:
-        grads = ModelParams(w_out=features.T @ dlogits, b_out=dlogits.sum(axis=0))
-    else:
-        d_hidden = (dlogits @ params.w_out.T) * (1.0 - hidden * hidden)
-        grads = ModelParams(
-            w_out=hidden.T @ dlogits,
-            b_out=dlogits.sum(axis=0),
-            w_hidden=features.T @ d_hidden,
-            b_hidden=d_hidden.sum(axis=0),
-        )
-    return value, grads, logits
 
 
 def backward(
@@ -203,9 +234,13 @@ def backward(
     The calibration weight is set by the mode: 0, the epoch ramp, or the
     constant gamma_E.
     """
+    _check_features(params, features)
     weight = _mode_weight(config.mode, epoch, config.loss)
-    value, grads, _ = _backward_impl(params, features, labels, weight, config.loss)
-    return value, grads
+    stacked = _stack(params)
+    logits, hidden = _forward_stacked(stacked, features)
+    value = weighted_loss(logits[0], labels, weight, config.loss)
+    grads = _grads_stacked(stacked, features, hidden, value.grad_logits[None])
+    return value, _arm(grads, 0)
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
@@ -239,56 +274,131 @@ def evaluate(
     return classification_report(preds), ece(table), table
 
 
-def train(
-    train_set: Dataset, val_set: Dataset, config: TrainConfig
-) -> tuple[ModelParams, TrainReport]:
-    """Full SGD run; returns final parameters and the epoch-by-epoch report.
+# Fields every config of one stacked run must agree on: the arms share the
+# data order, the initial weights, the update and the loss's binning.
+_SHARED_FIELDS = ("seed", "epochs", "batch_size", "learning_rate", "hidden_dim", "eval_bins")
+_SHARED_LOSS_FIELDS = ("s_e", "m_train", "epsilon", "indicator_variant")
+
+
+def _check_arms(train_set: Dataset, val_set: Dataset, configs: list[TrainConfig]) -> None:
+    if not configs:
+        raise DomainError("train_arms needs at least one config")
+    first = configs[0]
+    for cfg in configs[1:]:
+        for name in _SHARED_FIELDS:
+            if getattr(cfg, name) != getattr(first, name):
+                raise DomainError(f"configs disagree on {name}: "
+                                  f"{getattr(first, name)!r} vs {getattr(cfg, name)!r}")
+        for name in _SHARED_LOSS_FIELDS:
+            if getattr(cfg.loss, name) != getattr(first.loss, name):
+                raise DomainError(f"configs disagree on loss.{name}: "
+                                  f"{getattr(first.loss, name)!r} vs {getattr(cfg.loss, name)!r}")
+    if train_set.n < 1 or val_set.n < 1:
+        raise DomainError("train and validation splits must be non-empty")
+    if train_set.k != val_set.k or train_set.dim != val_set.dim:
+        raise DomainError("train and validation splits disagree on classes or features")
+    for name, ds in (("train", train_set), ("validation", val_set)):
+        if not np.isfinite(ds.features).all():
+            raise DomainError(f"{name} features contain non-finite values")
+
+
+def _check_finite(logits, configs, weights, where: str) -> None:
+    """Raise naming the first arm whose logits hold a non-finite entry."""
+    if np.isfinite(logits).all():
+        return
+    s = int(np.argmax(~np.isfinite(logits).reshape(len(configs), -1).all(axis=1)))
+    raise DomainError(
+        f"{configs[s].mode.value} run diverged {where}: non-finite logits "
+        f"(ece weight {weights[s]!r}, learning rate {configs[s].learning_rate!r})"
+    )
+
+
+def train_arms(
+    train_set: Dataset, val_set: Dataset, configs
+) -> list[tuple[ModelParams, TrainReport]]:
+    """Train one run per config in a single SGD loop over a stack of models.
+
+    The configs may differ only in ``mode`` and ``loss.gamma_e``: the runs
+    share the initial weights, every epoch's batch order and the learning
+    rate, and differ only in each epoch's calibration weight. Each run's
+    parameters and report are bit-identical to training it alone.
 
     Every epoch reshuffles the training set (seeded by [seed, epoch]) and
     walks it in batches of ``batch_size``; a short final batch is still
     trained on. Epoch stats are sample-weighted means, so short batches
     count by their actual size. Validation metrics use ``eval_bins``.
+    Non-finite logits stop training with a ``DomainError`` naming the
+    run's mode, the epoch, the batch, the weight and the learning rate.
+    Every run's ``EpochStats.seconds`` is the wall time of the shared epoch.
     """
-    if train_set.n < 1 or val_set.n < 1:
-        raise DomainError("train and validation splits must be non-empty")
-    if train_set.k != val_set.k or train_set.dim != val_set.dim:
-        raise DomainError("train and validation splits disagree on classes or features")
-    params = init_model(train_set.dim, config.hidden_dim, train_set.k, config.seed)
-    n = train_set.n
-    stats: list[EpochStats] = []
-    for epoch in range(config.epochs):
-        tic = time.perf_counter()
-        weight = _mode_weight(config.mode, epoch, config.loss)
-        order = np.random.default_rng([config.seed, epoch]).permutation(n)
-        nll_sum = soft_sum = total_sum = 0.0
-        correct = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = train_set.features[idx], train_set.labels[idx]
-            value, grads, logits = _backward_impl(params, xb, yb, weight, config.loss)
-            params = sgd_step(params, grads, config.learning_rate)
-            b = idx.shape[0]
-            nll_sum += value.nll * b
-            soft_sum += value.soft_ece * b
-            total_sum += value.total * b
-            correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-        stats.append(
-            EpochStats(
-                epoch=epoch,
-                nll=nll_sum / n,
-                soft_ece=soft_sum / n,
-                ece_weight=weight,
-                total=total_sum / n,
-                train_accuracy=correct / n,
-                seconds=time.perf_counter() - tic,
-            )
-        )
-    val_preds = Predictions.from_probs(softmax(forward(params, val_set.features)), val_set.labels)
-    report, final_ece, table = evaluate(val_preds, config.eval_bins)
-    return params, TrainReport(
-        epochs=tuple(stats),
-        final_report=report,
-        final_ece=final_ece,
-        reliability=table,
-        eval_bins=config.eval_bins,
-    )
+    configs = list(configs)
+    _check_arms(train_set, val_set, configs)
+    first = configs[0]
+    one = _stack(init_model(train_set.dim, first.hidden_dim, train_set.k, first.seed))
+    params = ModelParams(**{
+        name: None if arr is None else np.repeat(arr, len(configs), axis=0)
+        for name, arr in vars(one).items()
+    })
+    n, lr = train_set.n, first.learning_rate
+    stats: list[list[EpochStats]] = [[] for _ in configs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(first.epochs):
+            tic = time.perf_counter()
+            weight_list = [_mode_weight(c.mode, epoch, c.loss) for c in configs]
+            weights = np.array(weight_list, dtype=np.float64)
+            order = np.random.default_rng([first.seed, epoch]).permutation(n)
+            nll_sum = np.zeros(len(configs))
+            soft_sum = np.zeros(len(configs))
+            total_sum = np.zeros(len(configs))
+            correct = np.zeros(len(configs), dtype=np.int64)
+            for batch, start in enumerate(range(0, n, first.batch_size)):
+                idx = order[start:start + first.batch_size]
+                xb, yb = train_set.features[idx], train_set.labels[idx]
+                logits, hidden = _forward_stacked(params, xb)
+                _check_finite(logits, configs, weight_list,
+                              f"at epoch {epoch}, batch {batch}")
+                nll, soft, dlogits = _joint_loss(_softmax(logits), yb, weights, first.loss)
+                params = sgd_step(params, _grads_stacked(params, xb, hidden, dlogits), lr)
+                b = idx.shape[0]
+                nll_sum += nll * b
+                soft_sum += soft * b
+                total_sum += (nll + weights * soft) * b
+                correct += (np.argmax(logits, axis=2) == yb).sum(axis=1)
+            seconds = time.perf_counter() - tic
+            for s, arm_stats in enumerate(stats):
+                arm_stats.append(
+                    EpochStats(
+                        epoch=epoch,
+                        nll=float(nll_sum[s] / n),
+                        soft_ece=float(soft_sum[s] / n),
+                        ece_weight=weight_list[s],
+                        total=float(total_sum[s] / n),
+                        train_accuracy=int(correct[s]) / n,
+                        seconds=seconds,
+                    )
+                )
+        val_logits, _ = _forward_stacked(params, val_set.features)
+        _check_finite(val_logits, configs, weight_list,
+                      f"on the validation set after epoch {first.epochs - 1}")
+    results = []
+    for s, cfg in enumerate(configs):
+        val_preds = Predictions.from_probs(softmax(val_logits[s]), val_set.labels)
+        report, final_ece, table = evaluate(val_preds, cfg.eval_bins)
+        results.append((_arm(params, s), TrainReport(
+            epochs=tuple(stats[s]),
+            final_report=report,
+            final_ece=final_ece,
+            reliability=table,
+            eval_bins=cfg.eval_bins,
+        )))
+    return results
+
+
+def train(
+    train_set: Dataset, val_set: Dataset, config: TrainConfig
+) -> tuple[ModelParams, TrainReport]:
+    """Full SGD run; returns final parameters and the epoch-by-epoch report.
+
+    One run of :func:`train_arms`, which documents the loop.
+    """
+    return train_arms(train_set, val_set, [config])[0]

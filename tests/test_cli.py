@@ -69,6 +69,17 @@ class TestEval:
         assert code == 1
         assert "error: line 2:" in capsys.readouterr().err
 
+    def test_row_sum_past_float_max_fails_without_warnings(self, tmp_path, capfd):
+        log = tmp_path / "p.jsonl"
+        log.write_text('{"probs": [1e308, 1e308, 0.5], "label": 0}\n')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["eval", "--predictions", str(log)])
+        assert code == 1
+        assert capfd.readouterr().err == (
+            "error: line 1: probabilities sum to inf, outside 1 +/- 1e-3\n")
+        assert caught == []
+
     def test_csv_format_flag(self, tmp_path, capsys):
         log = tmp_path / "p.csv"
         log.write_text("p0,p1,label\n0.9,0.1,0\n0.2,0.8,1\n")
@@ -218,6 +229,37 @@ class TestExperiment:
         arm_manifest = json.loads((out_dir / "vanilla" / "run.json").read_text())
         assert arm_manifest["train"]["mode"] == "vanilla"
         assert arm_manifest["loss"] == top["loss"]
+
+
+    @pytest.mark.parametrize("gamma", ["0.7", "auto"])
+    def test_arms_match_single_train_runs_byte_for_byte(self, tmp_path, capsys, gamma):
+        flags = ["--classes", "3", "--per-class", "30", "--dim", "4", "--epochs", "3",
+                 "--batch-size", "16", "--hidden-dim", "5", "--gamma", gamma,
+                 "--seed", "4"]
+        assert run_cli(["experiment", *flags, "--out", str(tmp_path / "exp")]) == 0
+        for arm in ("vanilla", "curriculum", "fixed"):
+            single = tmp_path / arm
+            assert run_cli(["train", "--mode", arm, *flags, "--out", str(single)]) == 0
+            stacked = tmp_path / "exp" / arm
+            for name in ("report.json", "predictions.jsonl", "reliability.svg"):
+                assert (stacked / name).read_bytes() == (single / name).read_bytes(), name
+            manifests = [json.loads((d / "run.json").read_text()) for d in (stacked, single)]
+            assert [m.pop("command") for m in manifests] == ["experiment", "train"]
+            assert manifests[0] == manifests[1]
+
+    def test_divergence_names_the_arm_and_writes_no_arm(self, tmp_path, capfd):
+        out_dir = tmp_path / "exp"
+        args = ["experiment", "--classes", "3", "--per-class", "30", "--dim", "4",
+                "--epochs", "2", "--hidden-dim", "0", "--overlap", "1e200",
+                "--lr", "1e300", "--gamma", "1", "--out", str(out_dir)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(args)
+        assert code == 1
+        assert capfd.readouterr().err.startswith(
+            "error: vanilla run diverged at epoch 0, batch 1: non-finite logits")
+        assert caught == []
+        assert not any(p.is_dir() for p in out_dir.iterdir())
 
 
 class TestUsage:

@@ -57,3 +57,22 @@ def test_forward_is_finite_for_extreme_probabilities():
     v, g = kernels.soft_ece_backward(probs, labels, kernels.bin_edges(10), 1e-6, False)
     assert np.isfinite(v)
     assert np.all(np.isfinite(g))
+
+
+def test_stacked_backward_equals_each_batch_alone():
+    # Ties, one-hot rows and exact bin edges exercise the frozen bins and sign(0).
+    rng = np.random.default_rng(9)
+    n, k, m = 37, 5, 10
+    probs = rng.dirichlet(np.ones(k), size=(3, n))
+    probs[0, :4] = np.eye(k)[:4]
+    probs[1, 4:8] = 1.0 / k
+    probs[2, 8] = [0.3, 0.3, 0.2, 0.1, 0.1]
+    labels = rng.integers(0, k, n)
+    edges = kernels.bin_edges(m)
+    for use_true_q in (False, True):
+        values, grads = kernels.soft_ece_backward(probs, labels, edges, 1e-6, use_true_q)
+        assert values.shape == (3,) and grads.shape == probs.shape
+        for s in range(3):
+            v, g = kernels.soft_ece_backward(probs[s], labels, edges, 1e-6, use_true_q)
+            assert values[s] == v
+            assert np.array_equal(grads[s], g)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from calibkit import (
+    Dataset,
     DomainError,
     EpochStats,
+    IndicatorVariant,
     LossConfig,
     ModelParams,
     Predictions,
@@ -24,6 +26,7 @@ from calibkit import (
     softmax,
     split,
     train,
+    train_arms,
     weighted_loss,
 )
 
@@ -296,6 +299,94 @@ class TestTrainLoop:
         b = gen_synthetic(2, 10, 4, 1.0, 0)
         with pytest.raises(DomainError):
             train(a, b, small_config())
+
+
+def arm_configs(modes, hidden_dim=0, variant=IndicatorVariant.MAX_PROB, s_e=0,
+                gammas=None, epochs=6):
+    gammas = gammas or [0.4] * len(modes)
+    return [
+        TrainConfig(epochs=epochs, batch_size=8, learning_rate=0.05, seed=3,
+                    loss=LossConfig(gamma_e=g, s_e=s_e, total_epochs=epochs,
+                                    indicator_variant=variant),
+                    mode=mode, hidden_dim=hidden_dim)
+        for mode, g in zip(modes, gammas)
+    ]
+
+
+ALL_MODES = list(TrainingMode)
+
+
+class TestTrainArms:
+    @pytest.mark.parametrize("configs", [
+        arm_configs(ALL_MODES),
+        arm_configs(ALL_MODES, hidden_dim=6, variant=IndicatorVariant.TRUE_CLASS_PROB, s_e=2),
+        arm_configs([TrainingMode.CALIBRATED_CURRICULUM] * 2, hidden_dim=6, s_e=1,
+                    gammas=[0.3, 2.5]),
+        arm_configs([TrainingMode.CALIBRATED_FIXED], variant=IndicatorVariant.TRUE_CLASS_PROB),
+    ], ids=["linear-3", "hidden-true-class-se2-3", "hidden-se1-2", "linear-true-class-1"])
+    def test_each_arm_equals_its_own_run_bit_for_bit(self, tiny_splits, configs):
+        tr, va, _ = tiny_splits
+        assert tr.n % configs[0].batch_size != 0  # a short final batch is stacked too
+        stacked = train_arms(tr, va, configs)
+        assert len(stacked) == len(configs)
+        for (params, report), cfg in zip(stacked, configs):
+            alone_params, alone_report = train(tr, va, cfg)
+            for name in ("w_out", "b_out", "w_hidden", "b_hidden"):
+                got, want = getattr(params, name), getattr(alone_params, name)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.shape == want.shape and np.array_equal(got, want)
+            assert report.epochs == alone_report.epochs  # every field but seconds
+            assert report.final_report == alone_report.final_report
+            assert report.final_ece == alone_report.final_ece
+            assert report.reliability == alone_report.reliability
+            assert report == alone_report
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 4), ("epochs", 7), ("batch_size", 9), ("learning_rate", 0.5),
+        ("hidden_dim", 2), ("eval_bins", 10), ("s_e", 1), ("m_train", 5),
+        ("epsilon", 1e-5), ("indicator_variant", IndicatorVariant.TRUE_CLASS_PROB),
+    ])
+    def test_configs_must_agree_on_shared_fields(self, tiny_splits, field, value):
+        tr, va, _ = tiny_splits
+        base = arm_configs([TrainingMode.VANILLA_NLL])[0]
+        if field == "epochs":
+            other = dataclasses.replace(
+                base, epochs=value,
+                loss=dataclasses.replace(base.loss, total_epochs=value))
+        elif hasattr(base, field):
+            other = dataclasses.replace(base, **{field: value})
+        else:
+            other = dataclasses.replace(
+                base, loss=dataclasses.replace(base.loss, **{field: value}))
+        with pytest.raises(DomainError, match=f"disagree on (loss\\.)?{field}"):
+            train_arms(tr, va, [base, other])
+
+    def test_empty_config_list_rejected(self, tiny_splits):
+        tr, va, _ = tiny_splits
+        with pytest.raises(DomainError, match="at least one config"):
+            train_arms(tr, va, [])
+
+    def test_non_finite_features_rejected(self, tiny_splits):
+        tr, va, _ = tiny_splits
+        bad = Dataset(np.where(np.arange(tr.n)[:, None] == 5, np.nan, tr.features),
+                      tr.labels, tr.k)
+        with pytest.raises(DomainError, match="train features contain non-finite"):
+            train(bad, va, small_config())
+        with pytest.raises(DomainError, match="validation features contain non-finite"):
+            train(tr, bad, small_config())
+
+    def test_divergence_names_run_epoch_batch_weight_and_lr(self):
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((40, 3)) * 1e200, np.arange(40) % 2, 2)
+        cfg = small_config(TrainingMode.CALIBRATED_FIXED, gamma_e=0.25,
+                           learning_rate=1e300)
+        # RuntimeWarnings fail the suite, so this also checks that none leak out
+        with pytest.raises(DomainError) as err:
+            train(ds, ds, cfg)
+        assert str(err.value) == (
+            "fixed run diverged at epoch 0, batch 1: non-finite logits "
+            "(ece weight 0.25, learning rate 1e+300)")
 
 
 class TestEvaluate:
