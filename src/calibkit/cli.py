@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -31,11 +32,6 @@ from .metrics import ClassificationReport, Predictions, build_reliability_table
 from .reporting import comparison_table, render_reliability_svg, save_predictions
 from .training import TrainConfig, TrainingMode, evaluate, forward, train, train_arms
 
-_MODES = {
-    "vanilla": TrainingMode.VANILLA_NLL,
-    "curriculum": TrainingMode.CALIBRATED_CURRICULUM,
-    "fixed": TrainingMode.CALIBRATED_FIXED,
-}
 _VARIANTS = {
     "max-prob": IndicatorVariant.MAX_PROB,
     "true-class": IndicatorVariant.TRUE_CLASS_PROB,
@@ -103,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", parents=[common],
                              help="train one model on synthetic data")
-    p_train.add_argument("--mode", choices=sorted(_MODES), default="curriculum")
+    p_train.add_argument("--mode", choices=sorted(m.value for m in TrainingMode),
+                         default="curriculum")
     p_train.add_argument("--out", required=True, metavar="DIR")
     p_train.set_defaults(func=_cmd_train)
 
@@ -256,7 +253,7 @@ def _cmd_train(args) -> int:
     manifest = _manifest(args, command="train", seed=seed, mode=args.mode,
                          gamma_value=gamma_value, gamma_source=gamma_source)
     trained = train(splits[0], splits[1],
-                    _train_config(args, seed, _MODES[args.mode], gamma_value))
+                    _train_config(args, seed, TrainingMode.from_name(args.mode), gamma_value))
     test_report, test_ece = _write_arm(args, trained, splits[2], out_dir, manifest)
     print(f"mode: {args.mode}")
     print(f"gamma_e: {gamma_value:.6f} ({gamma_source})")
@@ -276,35 +273,36 @@ def _cmd_eval(args) -> int:
     print(f"macro_f1: {report.macro_f1:.4f}")
     print(f"ece (M = {args.bins}): {ece_value:.6f}")
     if args.diagram:
-        out = Path(args.diagram)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        render_reliability_svg(table, out)
-        _write_json(out.with_suffix(".run.json"), {
-            "version": __version__,
-            "command": "eval",
-            "predictions": str(args.predictions),
-            "format": args.format,
-            "bins": args.bins,
-        })
-        print(f"diagram: {out}")
+        _write_diagram(args, table, Path(args.diagram), "eval")
     return 0
 
 
 def _cmd_diagram(args) -> int:
     preds = load_predictions(args.predictions, LogFormat.from_name(args.format))
-    table = build_reliability_table(preds, args.bins)
-    out = Path(args.out)
+    _write_diagram(args, build_reliability_table(preds, args.bins), Path(args.out), "diagram")
+    return 0
+
+
+def _write_diagram(args, table, out: Path, command: str) -> None:
+    """Write the SVG and, beside it, a manifest naming the log it came from."""
     out.parent.mkdir(parents=True, exist_ok=True)
     render_reliability_svg(table, out)
     _write_json(out.with_suffix(".run.json"), {
         "version": __version__,
-        "command": "diagram",
+        "command": command,
         "predictions": str(args.predictions),
         "format": args.format,
         "bins": args.bins,
     })
     print(f"diagram: {out}")
-    return 0
+
+
+def _metric(section: dict, name: str, where: str = ""):
+    value = section[name]
+    # JSON true/false load as bool, and NaN/Infinity as float
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"{where}{name} must be a finite number, got {value!r}")
+    return value
 
 
 def _cmd_compare(args) -> int:
@@ -316,14 +314,17 @@ def _cmd_compare(args) -> int:
         try:
             test = json.loads(path.read_text(encoding="utf-8"))["test"]
             report = ClassificationReport(
-                per_class=tuple((c["precision"], c["recall"], c["f1"])
-                                for c in test["per_class"]),
-                macro_precision=test["macro_precision"],
-                macro_recall=test["macro_recall"],
-                macro_f1=test["macro_f1"],
-                accuracy=test["accuracy"],
+                per_class=tuple(
+                    tuple(_metric(c, key, f"per_class[{i}].")
+                          for key in ("precision", "recall", "f1"))
+                    for i, c in enumerate(test["per_class"])
+                ),
+                macro_precision=_metric(test, "macro_precision"),
+                macro_recall=_metric(test, "macro_recall"),
+                macro_f1=_metric(test, "macro_f1"),
+                accuracy=_metric(test, "accuracy"),
             )
-            test_ece = test["ece"]
+            test_ece = _metric(test, "ece")
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(
                 f"report.json under {run_dir} is not a calibkit report "
@@ -340,11 +341,12 @@ def _cmd_experiment(args) -> int:
     gamma_value, gamma_source = _resolve_gamma(args, seed, splits[0], splits[1])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = ("vanilla", "curriculum", "fixed")
+    modes = list(TrainingMode)  # vanilla, curriculum, fixed
     arms = train_arms(splits[0], splits[1],
-                      [_train_config(args, seed, _MODES[name], gamma_value) for name in names])
+                      [_train_config(args, seed, mode, gamma_value) for mode in modes])
     entries = []
-    for name, trained in zip(names, arms):
+    for mode, trained in zip(modes, arms):
+        name = mode.value
         manifest = _manifest(args, command="experiment", seed=seed, mode=name,
                              gamma_value=gamma_value, gamma_source=gamma_source)
         test_report, test_ece = _write_arm(args, trained, splits[2], out_dir / name, manifest)

@@ -111,9 +111,12 @@ def gen_synthetic(k: int, n_per_class: int, dim: int, overlap: float, seed: int)
         means = CLUSTER_SPREAD * directions
     features = np.empty((k * n_per_class, dim))
     labels = np.repeat(np.arange(k, dtype=np.int64), n_per_class)
-    for c in range(k):
-        block = slice(c * n_per_class, (c + 1) * n_per_class)
-        features[block] = means[c] + overlap * rng.standard_normal((n_per_class, dim))
+    with np.errstate(over="ignore"):
+        for c in range(k):
+            block = slice(c * n_per_class, (c + 1) * n_per_class)
+            features[block] = means[c] + overlap * rng.standard_normal((n_per_class, dim))
+    if not np.isfinite(features).all():
+        raise DomainError(f"overlap {overlap!r} is too large: the features overflow")
     return Dataset(features=features, labels=labels, k=k)
 
 

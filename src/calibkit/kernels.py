@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Probability clamp: keeps the indicator's tangent and the NLL's log finite.
+EPSILON = 1e-6
+
 
 def bin_edges(n_bins: int) -> np.ndarray:
     """Interior bin edges k/M for k = 1..M-1, shared by every code path."""
@@ -32,8 +35,9 @@ def bin_indices(conf: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, conf, side="left").astype(np.int64)
 
 
-def reliability_sums(conf, correct, edges, n_bins):
+def reliability_sums(conf, correct, edges):
     """Per-bin (count, sum of correctness, sum of confidence)."""
+    n_bins = edges.shape[0] + 1
     bins = bin_indices(conf, edges)
     counts = np.bincount(bins, minlength=n_bins).astype(np.int64)
     acc_sums = np.bincount(bins, weights=correct, minlength=n_bins)
@@ -41,7 +45,7 @@ def reliability_sums(conf, correct, edges, n_bins):
     return counts, acc_sums, conf_sums
 
 
-def soft_ece_backward(probs, labels, edges, eps, use_true_q):
+def soft_ece_backward(probs, labels, edges, use_true_q):
     """Binned gap between smoothed per-bin accuracy and mean confidence,
     plus its exact gradient with respect to the logits that produced
     ``probs`` via softmax. Returns ``(value, dlogits)``.
@@ -54,12 +58,12 @@ def soft_ece_backward(probs, labels, edges, eps, use_true_q):
     Samples are binned by max probability. The smoothed correctness of a
     sample is sigmoid(tan(pi*q - pi/2)) with q the max probability, or the
     true-class probability when ``use_true_q``; q is clamped to
-    [eps, 1-eps] before the tangent. Bin membership is frozen at its
-    forward value; the absolute value uses sign with sign(0) = 0; the
-    clamp contributes zero slope outside [eps, 1-eps].
+    [EPSILON, 1-EPSILON] before the tangent. Bin membership is frozen at
+    its forward value; the absolute value uses sign with sign(0) = 0; the
+    clamp contributes zero slope outside [EPSILON, 1-EPSILON].
     """
     if probs.ndim == 2:
-        value, dlogits = soft_ece_backward(probs[None], labels, edges, eps, use_true_q)
+        value, dlogits = soft_ece_backward(probs[None], labels, edges, use_true_q)
         return float(value[0]), dlogits[0]
     n_stack, n, _ = probs.shape
     n_bins = edges.shape[0] + 1
@@ -70,7 +74,7 @@ def soft_ece_backward(probs, labels, edges, eps, use_true_q):
     pred = np.argmax(probs, axis=2)
     conf = probs[arm, rows, pred]
     q = probs[arm, rows, labels] if use_true_q else conf
-    qc = np.clip(q, eps, 1.0 - eps)
+    qc = np.clip(q, EPSILON, 1.0 - EPSILON)
     t = np.tan(np.pi * qc - 0.5 * np.pi)
     g = _sigmoid(t)
     bins = bin_indices(conf, edges)
@@ -82,7 +86,7 @@ def soft_ece_backward(probs, labels, edges, eps, use_true_q):
 
     s = np.sign(gap)[arm, bins] / n
     dgdq = g * (1.0 - g) * np.pi * (1.0 + t * t)
-    dgdq[(q < eps) | (q > 1.0 - eps)] = 0.0
+    dgdq[(q < EPSILON) | (q > 1.0 - EPSILON)] = 0.0
     dprobs = np.zeros_like(probs)
     qcol = labels if use_true_q else pred
     np.add.at(dprobs, (arm, rows, qcol), s * dgdq)

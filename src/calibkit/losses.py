@@ -4,11 +4,12 @@ joint training objective.
 The calibration term replaces the 0/1 correctness indicator inside the
 binned calibration error with sigmoid(tan(pi*q - pi/2)), a smooth,
 strictly increasing map of a probability q onto (0, 1) with fixed point
-0.5. Probabilities are clamped to [epsilon, 1-epsilon] before the tangent
-so the loss and its gradient stay finite at the interval ends. Two
-choices of q ship: the max probability (the confidence itself, the
-default) and the true-class probability, which tracks the hard
-correctness indicator more closely.
+0.5. Probabilities are clamped to [EPSILON, 1-EPSILON] before the tangent,
+and below by EPSILON inside the NLL's log, with the constant
+``kernels.EPSILON`` = 1e-6, so the loss and its gradient stay finite at
+the interval ends. Two choices of q ship: the max probability (the
+confidence itself, the default) and the true-class probability, which
+tracks the hard correctness indicator more closely.
 
 The joint objective adds the calibration term to the NLL with a weight
 that ramps linearly from 0 (at epoch ``s_e``) to ``gamma_e`` (at epoch
@@ -25,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .kernels import bin_edges, soft_ece_backward
+from .kernels import EPSILON, bin_edges, soft_ece_backward
 
 
 class IndicatorVariant(Enum):
@@ -43,14 +44,12 @@ class LossConfig:
     s_e: epoch at which the calibration term starts ramping in.
     total_epochs: ramp length N; the ramp hits gamma_e at epoch N.
     m_train: confidence bins used inside the loss (10 by default).
-    epsilon: probability clamp for the indicator and the NLL log.
     """
 
     gamma_e: float
     s_e: int = 0
     total_epochs: int = 50
     m_train: int = 10
-    epsilon: float = 1e-6
     indicator_variant: IndicatorVariant = IndicatorVariant.MAX_PROB
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class LossConfig:
             raise DomainError(
                 f"s_e must satisfy 0 <= s_e < total_epochs, got {self.s_e}"
             )
-        if not 0.0 < self.epsilon < 0.5:
-            raise DomainError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
         if self.m_train < 1:
             raise DomainError(f"m_train must be >= 1, got {self.m_train}")
 
@@ -114,18 +111,18 @@ def _as_batch(probs, labels):
     return p, y
 
 
-def nll_loss(probs, labels, epsilon: float = 1e-6):
+def nll_loss(probs, labels):
     """Mean negative log-likelihood and its gradient with respect to logits.
 
-    Probabilities are clamped below by ``epsilon`` inside the log. The
+    Probabilities are clamped below by ``EPSILON`` inside the log. The
     gradient is the usual (softmax - onehot) / batch_size.
     """
     p, y = _as_batch(probs, labels)
-    loss, grad = _nll(p[None], y, epsilon)
+    loss, grad = _nll(p[None], y)
     return float(loss[0]), grad[0]
 
 
-def _nll(p: np.ndarray, y: np.ndarray, epsilon: float):
+def _nll(p: np.ndarray, y: np.ndarray):
     """Per-batch mean NLL (S,) and logit gradient (S, n, K) of a stack of
     S batches (S, n, K) sharing the labels (n,)."""
     n = p.shape[1]
@@ -134,7 +131,7 @@ def _nll(p: np.ndarray, y: np.ndarray, epsilon: float):
     # differently from the contiguous one.
     arm = np.arange(p.shape[0])[:, None]
     rows = np.arange(n)
-    picked = np.maximum(p[arm, rows, y], epsilon)
+    picked = np.maximum(p[arm, rows, y], EPSILON)
     loss = -np.log(picked).mean(axis=1)
     grad = p.copy()
     grad[arm, rows, y] -= 1.0
@@ -142,13 +139,13 @@ def _nll(p: np.ndarray, y: np.ndarray, epsilon: float):
     return loss, grad
 
 
-def soft_indicator(p: float, epsilon: float = 1e-6) -> float:
+def soft_indicator(p: float) -> float:
     """Smoothed correctness indicator sigmoid(tan(pi*p - pi/2)).
 
-    Total on [0, 1]: ``p`` is clamped to [epsilon, 1-epsilon] before the
+    Total on [0, 1]: ``p`` is clamped to [EPSILON, 1-EPSILON] before the
     tangent, so the endpoints map to finite values just shy of 0 and 1.
     """
-    q = min(max(p, epsilon), 1.0 - epsilon)
+    q = min(max(p, EPSILON), 1.0 - EPSILON)
     t = math.tan(math.pi * q - 0.5 * math.pi)
     if t >= 0.0:
         return 1.0 / (1.0 + math.exp(-t))
@@ -156,20 +153,20 @@ def soft_indicator(p: float, epsilon: float = 1e-6) -> float:
     return e / (1.0 + e)
 
 
-def soft_ece(probs, labels, n_bins: int, variant: IndicatorVariant = IndicatorVariant.MAX_PROB,
-             epsilon: float = 1e-6) -> float:
+def soft_ece(probs, labels, n_bins: int,
+             variant: IndicatorVariant = IndicatorVariant.MAX_PROB) -> float:
     """Binned calibration error with the smoothed indicator in place of 0/1
     correctness; binning (by max probability) stays the hard one."""
     p, y = _as_batch(probs, labels)
     if n_bins < 1:
         raise DomainError(f"bin count must be >= 1, got {n_bins}")
-    value, _ = soft_ece_backward(p, y, bin_edges(n_bins), epsilon,
+    value, _ = soft_ece_backward(p, y, bin_edges(n_bins),
                                  variant is IndicatorVariant.TRUE_CLASS_PROB)
     return value
 
 
-def soft_ece_grad(logits, labels, n_bins: int, variant: IndicatorVariant = IndicatorVariant.MAX_PROB,
-                  epsilon: float = 1e-6) -> np.ndarray:
+def soft_ece_grad(logits, labels, n_bins: int,
+                  variant: IndicatorVariant = IndicatorVariant.MAX_PROB) -> np.ndarray:
     """Analytic gradient of ``soft_ece(softmax(logits), ...)`` wrt logits.
 
     Bin membership is treated as fixed at its forward value; the absolute
@@ -178,7 +175,7 @@ def soft_ece_grad(logits, labels, n_bins: int, variant: IndicatorVariant = Indic
     p, y = _as_batch(softmax(logits), labels)
     if n_bins < 1:
         raise DomainError(f"bin count must be >= 1, got {n_bins}")
-    _, grad = soft_ece_backward(p, y, bin_edges(n_bins), epsilon,
+    _, grad = soft_ece_backward(p, y, bin_edges(n_bins),
                                 variant is IndicatorVariant.TRUE_CLASS_PROB)
     return grad
 
@@ -214,9 +211,9 @@ def _joint_loss(p: np.ndarray, y: np.ndarray, weights: np.ndarray, config: LossC
     ``nll + weights[s] * soft_ece`` for a stack of S probability batches
     (S, n, K) sharing the labels (n,). Inputs are trusted: callers check
     them once, at their own boundary."""
-    nll, nll_grad = _nll(p, y, config.epsilon)
+    nll, nll_grad = _nll(p, y)
     soft, soft_grad = soft_ece_backward(
-        p, y, bin_edges(config.m_train), config.epsilon,
+        p, y, bin_edges(config.m_train),
         config.indicator_variant is IndicatorVariant.TRUE_CLASS_PROB,
     )
     return nll, soft, nll_grad + weights[:, None, None] * soft_grad

@@ -87,33 +87,13 @@ class ReliabilityTable:
     bins: tuple[BinStats, ...]
     n: int
 
-    def counts(self) -> np.ndarray:
-        return np.array([b.count for b in self.bins], dtype=np.int64)
-
-    def accs(self) -> np.ndarray:
-        return np.array([b.acc for b in self.bins], dtype=np.float64)
-
-    def confs(self) -> np.ndarray:
-        return np.array([b.conf for b in self.bins], dtype=np.float64)
-
-
-def bin_index(confidence: float, n_bins: int) -> int:
-    """Bin of ``confidence`` among M right-closed intervals ((m-1)/M, m/M]."""
-    if n_bins < 1:
-        raise DomainError(f"bin count must be >= 1, got {n_bins}")
-    if not 0.0 <= confidence <= 1.0:
-        raise DomainError(f"confidence {confidence!r} outside [0, 1]")
-    edges = bin_edges(n_bins)
-    return int(np.searchsorted(edges, confidence, side="left"))
-
 
 def build_reliability_table(preds: Predictions, n_bins: int) -> ReliabilityTable:
     """Bin rows by confidence and aggregate per-bin accuracy and confidence."""
     if n_bins < 1:
         raise DomainError(f"bin count must be >= 1, got {n_bins}")
     correct = (preds.predicted == preds.labels).astype(np.float64)
-    counts, acc_sums, conf_sums = reliability_sums(
-        preds.confidence, correct, bin_edges(n_bins), n_bins)
+    counts, acc_sums, conf_sums = reliability_sums(preds.confidence, correct, bin_edges(n_bins))
     bins = []
     for m in range(n_bins):
         c = int(counts[m])

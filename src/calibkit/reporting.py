@@ -1,57 +1,41 @@
 """Reliability-diagram SVG rendering, markdown comparison tables, and
 prediction-log export.
 
-SVG output is a pure function of (table, style): fixed 6-decimal
+SVG output is a pure function of the table: fixed 6-decimal
 coordinate formatting, LF line endings, no timestamps — identical inputs
 produce byte-identical files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .data import LogFormat
 from .errors import DomainError
 from .metrics import ClassificationReport, Predictions, ReliabilityTable
 
+_WIDTH = 640
+_HEIGHT = 480
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 20.0
 _MARGIN_TOP = 20.0
 _MARGIN_BOTTOM = 56.0
 _BAR_INSET = 0.1  # fraction of bin width left clear on each side
-
-
-@dataclass(frozen=True)
-class DiagramStyle:
-    width: int = 640
-    height: int = 480
-    conf_color: str = "#f2a0c0"       # pink: per-bin mean confidence
-    acc_color: str = "#7e57c2"        # purple: per-bin accuracy
-    diagonal_color: str = "#777777"
-    curve_color: str = "#d62728"
-    bar_opacity: float = 0.6
-    x_label: str = "Confidence (M = {m} bins)"
-    y_label: str = "Accuracy / Confidence"
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise DomainError(f"diagram size must be positive, got {self.width}x{self.height}")
-        if not 0 < self.bar_opacity <= 1:
-            raise DomainError(f"bar_opacity must be in (0, 1], got {self.bar_opacity}")
+_BAR_OPACITY = 0.6
+_CONF_COLOR = "#f2a0c0"  # pink: per-bin mean confidence
+_ACC_COLOR = "#7e57c2"   # purple: per-bin accuracy
+_DIAGONAL_COLOR = "#777777"
+_CURVE_COLOR = "#d62728"
+# Written into the SVG as they are, so they hold no XML special characters.
+_X_LABEL = "Confidence (M = {m} bins)"
+_Y_LABEL = "Accuracy / Confidence"
 
 
 def _f(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _xml_text(text: str) -> str:
-    # Not xml.sax.saxutils.escape: importing it loads urllib.request, which
-    # adds several MiB and tens of milliseconds to every CLI start.
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def render_reliability_svg(table: ReliabilityTable, out_path, style: DiagramStyle | None = None) -> None:
+def render_reliability_svg(table: ReliabilityTable, out_path) -> None:
     """Write a standalone SVG reliability diagram.
 
     Per bin, overlaid semi-transparent bars show mean confidence
@@ -61,11 +45,8 @@ def render_reliability_svg(table: ReliabilityTable, out_path, style: DiagramStyl
     calibrated table sits exactly on the diagonal). Zero-height bars
     are omitted.
     """
-    style = style or DiagramStyle()
-    plot_w = style.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = style.height - _MARGIN_TOP - _MARGIN_BOTTOM
-    if plot_w <= 0 or plot_h <= 0:
-        raise DomainError("diagram too small for its margins")
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(u: float) -> float:  # confidence in [0,1] -> pixel x
         return _MARGIN_LEFT + u * plot_w
@@ -75,8 +56,8 @@ def render_reliability_svg(table: ReliabilityTable, out_path, style: DiagramStyl
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}" '
-        f'height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="{_f(px(0))}" y="{_f(py(1))}" width="{_f(plot_w)}" '
         f'height="{_f(plot_h)}" fill="none" stroke="#000000"/>',
     ]
@@ -84,30 +65,30 @@ def render_reliability_svg(table: ReliabilityTable, out_path, style: DiagramStyl
     for i, b in enumerate(table.bins):
         left = px((i + _BAR_INSET) / m)
         width = plot_w * (1.0 - 2.0 * _BAR_INSET) / m
-        for value, cls, color in ((b.conf, "conf-bar", style.conf_color),
-                                  (b.acc, "acc-bar", style.acc_color)):
+        for value, cls, color in ((b.conf, "conf-bar", _CONF_COLOR),
+                                  (b.acc, "acc-bar", _ACC_COLOR)):
             if value <= 0.0:
                 continue
             out.append(
                 f'<rect class="{cls}" x="{_f(left)}" y="{_f(py(value))}" '
                 f'width="{_f(width)}" height="{_f(py(0) - py(value))}" '
-                f'fill="{color}" fill-opacity="{_f(style.bar_opacity)}"/>'
+                f'fill="{color}" fill-opacity="{_f(_BAR_OPACITY)}"/>'
             )
     out.append(
         f'<line x1="{_f(px(0))}" y1="{_f(py(0))}" x2="{_f(px(1))}" y2="{_f(py(1))}" '
-        f'stroke="{style.diagonal_color}" stroke-dasharray="6,4"/>'
+        f'stroke="{_DIAGONAL_COLOR}" stroke-dasharray="6,4"/>'
     )
     points = [(b.conf, b.acc) for b in table.bins if b.count > 0]
     if len(points) > 1:
         coords = " ".join(f"{_f(px(u))},{_f(py(v))}" for u, v in points)
         out.append(
             f'<polyline class="acc-curve" points="{coords}" fill="none" '
-            f'stroke="{style.curve_color}" stroke-width="2"/>'
+            f'stroke="{_CURVE_COLOR}" stroke-width="2"/>'
         )
     for u, v in points:
         out.append(
             f'<circle class="acc-curve" cx="{_f(px(u))}" cy="{_f(py(v))}" r="3" '
-            f'fill="{style.curve_color}"/>'
+            f'fill="{_CURVE_COLOR}"/>'
         )
     for k in range(6):  # ticks every 0.2 on both axes
         t = k / 5.0
@@ -119,15 +100,13 @@ def render_reliability_svg(table: ReliabilityTable, out_path, style: DiagramStyl
             f'<text x="{_f(px(0) - 8)}" y="{_f(py(t) + 4)}" font-size="11" '
             f'text-anchor="end">{t:.1f}</text>'
         )
-    x_label = _xml_text(style.x_label.format(m=m))
     out.append(
         f'<text x="{_f(px(0.5))}" y="{_f(py(0) + 40)}" font-size="13" '
-        f'text-anchor="middle">{x_label}</text>'
+        f'text-anchor="middle">{_X_LABEL.format(m=m)}</text>'
     )
-    y_label = _xml_text(style.y_label.format(m=m))
     out.append(
         f'<text x="{_f(px(0) - 44)}" y="{_f(py(0.5))}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 {_f(px(0) - 44)} {_f(py(0.5))})">{y_label}</text>'
+        f'transform="rotate(-90 {_f(px(0) - 44)} {_f(py(0.5))})">{_Y_LABEL}</text>'
     )
     out.append("</svg>")
     Path(out_path).write_bytes(("\n".join(out) + "\n").encode("utf-8"))

@@ -123,7 +123,6 @@ class TrainReport:
     final_report: ClassificationReport
     final_ece: float
     reliability: ReliabilityTable
-    eval_bins: int
 
 
 def init_model(input_dim: int, hidden_dim: int, k: int, seed: int) -> ModelParams:
@@ -277,7 +276,7 @@ def evaluate(
 # Fields every config of one stacked run must agree on: the arms share the
 # data order, the initial weights, the update and the loss's binning.
 _SHARED_FIELDS = ("seed", "epochs", "batch_size", "learning_rate", "hidden_dim", "eval_bins")
-_SHARED_LOSS_FIELDS = ("s_e", "m_train", "epsilon", "indicator_variant")
+_SHARED_LOSS_FIELDS = ("s_e", "m_train", "indicator_variant")
 
 
 def _check_arms(train_set: Dataset, val_set: Dataset, configs: list[TrainConfig]) -> None:
@@ -389,7 +388,6 @@ def train_arms(
             final_report=report,
             final_ece=final_ece,
             reliability=table,
-            eval_bins=cfg.eval_bins,
         )))
     return results
 

@@ -197,6 +197,30 @@ class TestCompareAndDiagram:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(run_dir) in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("macro_precision", "x"),
+        ("macro_precision", None),
+        ("ece", "0.1"),
+        ("ece", float("nan")),
+        ("accuracy", True),
+        ("accuracy", float("inf")),
+        ("per_class[0].f1", "x"),
+    ])
+    def test_compare_report_with_bad_metric_value(self, tmp_path, capsys, field, value):
+        test = {"macro_precision": 0.5, "macro_recall": 0.5, "macro_f1": 0.5,
+                "accuracy": 0.5, "ece": 0.1,
+                "per_class": [{"precision": 0.5, "recall": 0.5, "f1": 0.5}]}
+        if field.startswith("per_class"):
+            test["per_class"][0]["f1"] = value
+        else:
+            test[field] = value
+        run_dir = tmp_path / "bad"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text(json.dumps({"test": test}))
+        assert run_cli(["compare", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(run_dir) in err and field in err
+
     def test_diagram_writes_svg_and_manifest(self, tmp_path, capsys):
         log = write_two_record_log(tmp_path / "p.jsonl")
         svg = tmp_path / "rel.svg"
@@ -285,6 +309,7 @@ class TestUsage:
         ("--lr", "inf", "learning_rate"),
         ("--lr", "nan", "learning_rate"),
         ("--overlap", "nan", "overlap"),
+        ("--overlap", "1e308", "overlap"),
         ("--split", "nan,0.5,0.5", "ratios"),
         ("--seed", "-1", "seed"),
     ])

@@ -78,6 +78,8 @@ class TestGenSynthetic:
             gen_synthetic(3, 10, 4, -0.5, 0)
         with pytest.raises(DomainError, match="seed"):
             gen_synthetic(3, 10, 4, 1.0, -1)
+        with pytest.raises(DomainError, match="overlap"):
+            gen_synthetic(3, 10, 4, 1e308, 0)
 
 
 class TestSplit:

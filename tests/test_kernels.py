@@ -40,7 +40,7 @@ def test_reliability_sums_match_brute_force():
         conf = rng.uniform(0, 1, n)
         correct = rng.integers(0, 2, n).astype(np.float64)
         edges = kernels.bin_edges(m)
-        counts, acc_sums, conf_sums = kernels.reliability_sums(conf, correct, edges, m)
+        counts, acc_sums, conf_sums = kernels.reliability_sums(conf, correct, edges)
         for b in range(m):
             lo, hi = b / m, (b + 1) / m
             mask = (conf > lo) & (conf <= hi) if b else (conf <= hi)
@@ -54,7 +54,7 @@ def test_forward_is_finite_for_extreme_probabilities():
     # a max-probability within epsilon of 1 must not overflow the sigmoid
     probs = np.array([[1.0 - 1e-9, 1e-9], [0.5, 0.5]])
     labels = np.array([0, 1], dtype=np.int64)
-    v, g = kernels.soft_ece_backward(probs, labels, kernels.bin_edges(10), 1e-6, False)
+    v, g = kernels.soft_ece_backward(probs, labels, kernels.bin_edges(10), False)
     assert np.isfinite(v)
     assert np.all(np.isfinite(g))
 
@@ -70,9 +70,9 @@ def test_stacked_backward_equals_each_batch_alone():
     labels = rng.integers(0, k, n)
     edges = kernels.bin_edges(m)
     for use_true_q in (False, True):
-        values, grads = kernels.soft_ece_backward(probs, labels, edges, 1e-6, use_true_q)
+        values, grads = kernels.soft_ece_backward(probs, labels, edges, use_true_q)
         assert values.shape == (3,) and grads.shape == probs.shape
         for s in range(3):
-            v, g = kernels.soft_ece_backward(probs[s], labels, edges, 1e-6, use_true_q)
+            v, g = kernels.soft_ece_backward(probs[s], labels, edges, use_true_q)
             assert values[s] == v
             assert np.array_equal(grads[s], g)

@@ -318,6 +318,4 @@ class TestLossConfigValidation:
         with pytest.raises(DomainError):
             LossConfig(gamma_e=1.0, s_e=50, total_epochs=50)
         with pytest.raises(DomainError):
-            LossConfig(gamma_e=1.0, epsilon=0.5)
-        with pytest.raises(DomainError):
             LossConfig(gamma_e=1.0, m_train=0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from calibkit import (
     DomainError,
     Predictions,
-    bin_index,
     build_reliability_table,
     classification_report,
     ece,
@@ -64,28 +63,6 @@ class TestPredictions:
             preds([[0.5, 0.5]], [2])           # label out of range
 
 
-class TestBinIndex:
-    @pytest.mark.parametrize("conf,m,expect", [
-        (0.95, 10, 9),
-        (0.0, 10, 0),
-        (0.1, 10, 0),
-        (0.10000001, 10, 1),
-        (1.0, 10, 9),
-        (0.5, 1, 0),
-        (2 / 15, 15, 1),
-    ])
-    def test_interval_membership(self, conf, m, expect):
-        assert bin_index(conf, m) == expect
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            bin_index(1.5, 10)
-        with pytest.raises(DomainError):
-            bin_index(-0.1, 10)
-        with pytest.raises(DomainError):
-            bin_index(0.5, 0)
-
-
 class TestReliabilityTable:
     def test_two_correct_records_m2(self):
         t = build_reliability_table(preds([[0.9, 0.1], [0.8, 0.2]], [0, 0]), 2)
@@ -119,9 +96,9 @@ class TestReliabilityTable:
         order = rng.permutation(100)
         shuffled = Predictions.from_probs(probs[order], labels[order])
         t2 = build_reliability_table(shuffled, 10)
-        np.testing.assert_array_equal(t2.counts(), t.counts())
-        np.testing.assert_allclose(t2.accs(), t.accs(), atol=1e-12)
-        np.testing.assert_allclose(t2.confs(), t.confs(), atol=1e-12)
+        np.testing.assert_array_equal([b.count for b in t2.bins], [b.count for b in t.bins])
+        np.testing.assert_allclose([b.acc for b in t2.bins], [b.acc for b in t.bins], atol=1e-12)
+        np.testing.assert_allclose([b.conf for b in t2.bins], [b.conf for b in t.bins], atol=1e-12)
 
     def test_empty_records_rejected(self):
         with pytest.raises(DomainError):

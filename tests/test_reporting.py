@@ -1,7 +1,7 @@
 """SVG reliability diagrams, markdown comparison tables, prediction export."""
 
+import hashlib
 import re
-import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from calibkit import (
     ClassificationReport,
-    DiagramStyle,
     DomainError,
     LogFormat,
     Predictions,
@@ -103,15 +102,6 @@ class TestReliabilitySvg:
         assert "Confidence (M = 15 bins)" in svg
         assert "Accuracy / Confidence" in svg
 
-    def test_labels_are_xml_escaped(self, tmp_path):
-        table = build_reliability_table(rec([[0.9, 0.1]], [0]), 2)
-        out = tmp_path / "d.svg"
-        style = DiagramStyle(x_label="p < q & r", y_label="a & b <c>")
-        render_reliability_svg(table, out, style)
-        texts = [el.text for el in ET.parse(out).getroot()
-                 if el.tag.endswith("text")]
-        assert "p < q & r" in texts and "a & b <c>" in texts
-
     def test_output_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(0)
         rows, labels = [], []
@@ -126,26 +116,10 @@ class TestReliabilitySvg:
         render_reliability_svg(table, b)
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
-
-    def test_style_validation(self):
-        with pytest.raises(DomainError):
-            DiagramStyle(width=0)
-        with pytest.raises(DomainError):
-            DiagramStyle(bar_opacity=0.0)
-        with pytest.raises(DomainError):
-            render_reliability_svg(
-                build_reliability_table(rec([[0.9, 0.1]], [0]), 2),
-                "/dev/null",
-                DiagramStyle(width=50, height=50),
-            )
-
-    def test_custom_colors_appear(self, tmp_path):
-        table = build_reliability_table(rec([[0.9, 0.1]], [0]), 2)
-        out = tmp_path / "d.svg"
-        style = DiagramStyle(conf_color="#111111", acc_color="#222222")
-        render_reliability_svg(table, out, style)
-        svg = out.read_text()
-        assert "#111111" in svg and "#222222" in svg
+        # the bytes themselves are pinned, so a rewrite of the renderer
+        # cannot change the drawing unnoticed
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+            "32ba897a23ffae04db5aeba075f90771070b615c7ddd009282debc5136b94317")
 
 
 def report_from_macros(p, r, f1, acc):

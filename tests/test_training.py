@@ -345,7 +345,7 @@ class TestTrainArms:
     @pytest.mark.parametrize("field, value", [
         ("seed", 4), ("epochs", 7), ("batch_size", 9), ("learning_rate", 0.5),
         ("hidden_dim", 2), ("eval_bins", 10), ("s_e", 1), ("m_train", 5),
-        ("epsilon", 1e-5), ("indicator_variant", IndicatorVariant.TRUE_CLASS_PROB),
+        ("indicator_variant", IndicatorVariant.TRUE_CLASS_PROB),
     ])
     def test_configs_must_agree_on_shared_fields(self, tiny_splits, field, value):
         tr, va, _ = tiny_splits
