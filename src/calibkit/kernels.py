@@ -5,9 +5,15 @@ Binning convention: the unit interval splits into M right-closed bins
 ((m-1)/M, m/M]; a confidence of exactly 0 lands in bin 0 so the map is
 total. ``bin_edges(M)`` returns the M-1 interior edges; the bin index of
 ``c`` is the number of edges strictly below ``c``.
+
+Gathers and scatters on a stack of batches (S, n, K) use flat indices into
+its C-ordered buffer, ``row_offsets(S, n, K) + column``: one index array
+in place of three broadcast ones, and a C-ordered result.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,19 +26,26 @@ def bin_edges(n_bins: int) -> np.ndarray:
     return np.arange(1, n_bins) / float(n_bins)
 
 
+@lru_cache(maxsize=64)
+def row_offsets(n_stack: int, n: int, k: int) -> np.ndarray:
+    """Flat offset of row i of batch s in a C-ordered (S, n, K) array, as a
+    read-only (S, n) array; add a column index per row to address one
+    entry of each row."""
+    offsets = (np.arange(n_stack)[:, None] * n + np.arange(n)) * k
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    # exp of -|t| never overflows; each sign takes the form that uses it.
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def bin_indices(conf: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin index per sample: count of interior edges strictly below conf."""
-    return np.searchsorted(edges, conf, side="left").astype(np.int64)
+    return edges.searchsorted(conf, side="left").astype(np.int64, copy=False)
 
 
 def reliability_sums(conf, correct, edges):
@@ -65,32 +78,32 @@ def soft_ece_backward(probs, labels, edges, use_true_q):
     if probs.ndim == 2:
         value, dlogits = soft_ece_backward(probs[None], labels, edges, use_true_q)
         return float(value[0]), dlogits[0]
-    n_stack, n, _ = probs.shape
+    n_stack, n, k = probs.shape
     n_bins = edges.shape[0] + 1
-    # Index with arrays on every axis: the gathers then come out C-ordered,
-    # which keeps the elementwise kernels below on their contiguous loops.
-    arm = np.arange(n_stack)[:, None]
-    rows = np.arange(n)
-    pred = np.argmax(probs, axis=2)
-    conf = probs[arm, rows, pred]
-    q = probs[arm, rows, labels] if use_true_q else conf
-    qc = np.clip(q, EPSILON, 1.0 - EPSILON)
+    flat = probs.reshape(-1)
+    offsets = row_offsets(n_stack, n, k)
+    pred = probs.argmax(axis=2)
+    at_pred = offsets + pred
+    conf = flat[at_pred]
+    at_q = offsets + labels if use_true_q else at_pred
+    q = flat[at_q] if use_true_q else conf
+    qc = np.minimum(np.maximum(q, EPSILON), 1.0 - EPSILON)
     t = np.tan(np.pi * qc - 0.5 * np.pi)
     g = _sigmoid(t)
-    bins = bin_indices(conf, edges)
-    ids = (bins + n_bins * arm).ravel()  # batch s owns bins s*M .. s*M + M-1
-    gsum = np.bincount(ids, weights=g.ravel(), minlength=n_stack * n_bins)
-    csum = np.bincount(ids, weights=conf.ravel(), minlength=n_stack * n_bins)
-    gap = (gsum - csum).reshape(n_stack, n_bins)
-    value = np.abs(gap).sum(axis=1) / n
+    # batch s owns bins s*M .. s*M + M-1
+    ids = bin_indices(conf, edges) + n_bins * np.arange(n_stack)[:, None]
+    gsum = np.bincount(ids.ravel(), weights=g.ravel(), minlength=n_stack * n_bins)
+    csum = np.bincount(ids.ravel(), weights=conf.ravel(), minlength=n_stack * n_bins)
+    gap = gsum - csum
+    value = np.abs(gap).reshape(n_stack, n_bins).sum(axis=1) / n
 
-    s = np.sign(gap)[arm, bins] / n
+    s = np.sign(gap)[ids] / n
     dgdq = g * (1.0 - g) * np.pi * (1.0 + t * t)
-    dgdq[(q < EPSILON) | (q > 1.0 - EPSILON)] = 0.0
-    dprobs = np.zeros_like(probs)
-    qcol = labels if use_true_q else pred
-    np.add.at(dprobs, (arm, rows, qcol), s * dgdq)
-    np.add.at(dprobs, (arm, rows, pred), -s)
+    dgdq[qc != q] = 0.0  # the clamp is flat outside [EPSILON, 1-EPSILON]
+    dprobs = np.zeros(probs.shape)
+    dflat = dprobs.reshape(-1)
+    dflat[at_q] = s * dgdq
+    dflat[at_pred] -= s
     inner = np.einsum("sij,sij->si", dprobs, probs)
     dlogits = probs * (dprobs - inner[..., None])
     return value, dlogits

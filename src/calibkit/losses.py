@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .kernels import EPSILON, bin_edges, soft_ece_backward
+from .kernels import EPSILON, bin_edges, row_offsets, soft_ece_backward
 
 
 class IndicatorVariant(Enum):
@@ -90,12 +90,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise DomainError(f"softmax needs K >= 2 classes, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise DomainError("softmax input contains non-finite entries")
-    return _softmax(z)
+    return _softmax(z, z.max(axis=-1, keepdims=True))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+def _softmax(z: np.ndarray, z_max: np.ndarray) -> np.ndarray:
+    """Softmax of finite logits given their row maxima (..., 1)."""
+    e = np.exp(z - z_max)
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -103,12 +103,19 @@ def _as_batch(probs, labels):
     p = np.ascontiguousarray(probs, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] == 0:
         raise DomainError(f"expected a non-empty (n, K) batch, got shape {p.shape}")
-    y = np.ascontiguousarray(labels, dtype=np.int64)
+    if not np.isfinite(p).all():
+        raise DomainError("probabilities must be finite")
+    if p.min() < 0.0 or p.max() > 1.0:
+        raise DomainError("probabilities outside [0, 1]")
+    y = np.asarray(labels)
     if y.shape != (p.shape[0],):
         raise DomainError("labels must be one class index per batch row")
+    # Checked before the integer cast, which would truncate 0.7 to class 0.
+    if y.dtype.kind == "f" and not (y == np.trunc(y)).all():
+        raise DomainError("labels must be whole numbers")
     if y.min() < 0 or y.max() >= p.shape[1]:
         raise DomainError(f"labels outside [0, {p.shape[1]})")
-    return p, y
+    return p, np.ascontiguousarray(y, dtype=np.int64)
 
 
 def nll_loss(probs, labels):
@@ -125,16 +132,14 @@ def nll_loss(probs, labels):
 def _nll(p: np.ndarray, y: np.ndarray):
     """Per-batch mean NLL (S,) and logit gradient (S, n, K) of a stack of
     S batches (S, n, K) sharing the labels (n,)."""
-    n = p.shape[1]
-    # Array indices on every axis give a C-ordered gather; a leading slice
-    # would give a strided one, on which np.log takes a loop that can round
-    # differently from the contiguous one.
-    arm = np.arange(p.shape[0])[:, None]
-    rows = np.arange(n)
-    picked = np.maximum(p[arm, rows, y], EPSILON)
-    loss = -np.log(picked).mean(axis=1)
+    n_stack, n, k = p.shape
+    # A flat gather is C-ordered; a leading slice would give a strided one,
+    # on which np.log takes a loop that can round differently.
+    at_label = row_offsets(n_stack, n, k) + y
+    picked = np.maximum(p.reshape(-1)[at_label], EPSILON)
+    loss = -np.log(picked).sum(axis=1) / n  # np.mean's sum and divide, unwrapped
     grad = p.copy()
-    grad[arm, rows, y] -= 1.0
+    grad.reshape(-1)[at_label] -= 1.0
     grad /= n
     return loss, grad
 
@@ -193,6 +198,8 @@ def curriculum_weight(c_e: int, config: LossConfig) -> float:
 
 def weighted_loss(logits, labels, weight: float, config: LossConfig) -> LossValue:
     """NLL plus ``weight`` times the calibration term, with joint gradient."""
+    if not (math.isfinite(weight) and weight >= 0):
+        raise DomainError(f"weight must be finite and non-negative, got {weight}")
     z = np.ascontiguousarray(logits, dtype=np.float64)
     p, y = _as_batch(softmax(z), labels)
     nll, soft, grad = _joint_loss(p[None], y, np.array([weight], dtype=np.float64), config)

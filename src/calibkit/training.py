@@ -9,7 +9,10 @@ time is recorded but excluded from report comparisons.
 Runs that share seed, data and schedule and differ only in their
 calibration weight train together in one loop over a leading model axis
 (:func:`train_arms`); :func:`train` is a stack of one. Each run in a
-stack is bit-identical to training it alone.
+stack is bit-identical to training it alone. The loop updates the stacked
+parameters in place (``w -= lr * g``, the arithmetic of :func:`sgd_step`)
+and does not call :func:`sgd_step`, whose per-call checks stay for
+callers that step a model themselves.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError
+from .kernels import row_offsets
 from .losses import (
     LossConfig,
     LossValue,
@@ -186,10 +190,18 @@ def _arm(stacked: ModelParams, s: int) -> ModelParams:
 def _forward_stacked(params: ModelParams, features: np.ndarray):
     """Logits (S, n, K) and tanh activations (S, n, h) (None for a linear
     model) of a stack of S models on shared (n, d) features."""
+    # In-place bias and tanh: at wide batches a fresh (S, n, h) array costs
+    # more than the arithmetic on it.
     if not params.has_hidden:
-        return features @ params.w_out + params.b_out, None
-    hidden = np.tanh(features @ params.w_hidden + params.b_hidden)
-    return hidden @ params.w_out + params.b_out, hidden
+        logits = features @ params.w_out
+        logits += params.b_out
+        return logits, None
+    hidden = features @ params.w_hidden
+    hidden += params.b_hidden
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ params.w_out
+    logits += params.b_out
+    return logits, hidden
 
 
 def _grads_stacked(params: ModelParams, features, hidden, dlogits) -> ModelParams:
@@ -198,7 +210,10 @@ def _grads_stacked(params: ModelParams, features, hidden, dlogits) -> ModelParam
     b_out = dlogits.sum(axis=1, keepdims=True)
     if not params.has_hidden:
         return ModelParams(w_out=features.T @ dlogits, b_out=b_out)
-    d_hidden = (dlogits @ params.w_out.transpose(0, 2, 1)) * (1.0 - hidden * hidden)
+    slope = hidden * hidden
+    np.subtract(1.0, slope, out=slope)
+    d_hidden = dlogits @ params.w_out.transpose(0, 2, 1)
+    d_hidden *= slope
     return ModelParams(
         w_out=hidden.transpose(0, 2, 1) @ dlogits,
         b_out=b_out,
@@ -244,8 +259,10 @@ def backward(
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
     """One plain SGD update: p - lr * g for every parameter array."""
-    if learning_rate <= 0:
-        raise DomainError(f"learning_rate must be positive, got {learning_rate}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise DomainError(
+            f"learning_rate must be finite and positive, got {learning_rate}"
+        )
     if params.has_hidden != grads.has_hidden:
         raise DomainError("params and grads disagree on model shape")
     for name in ("w_out", "b_out", "w_hidden", "b_hidden"):
@@ -329,6 +346,10 @@ def train_arms(
     Non-finite logits stop training with a ``DomainError`` naming the
     run's mode, the epoch, the batch, the weight and the learning rate.
     Every run's ``EpochStats.seconds`` is the wall time of the shared epoch.
+
+    Each step updates the stacked parameters in place rather than through
+    :func:`sgd_step`, and the epoch's per-batch losses are summed once, at
+    the epoch's end, in batch order.
     """
     configs = list(configs)
     _check_arms(train_set, val_set, configs)
@@ -338,7 +359,12 @@ def train_arms(
         name: None if arr is None else np.repeat(arr, len(configs), axis=0)
         for name, arr in vars(one).items()
     })
-    n, lr = train_set.n, first.learning_rate
+    n, lr, batch_size = train_set.n, first.learning_rate, first.batch_size
+    arrays = {name: arr for name, arr in vars(params).items() if arr is not None}
+    starts = range(0, n, batch_size)
+    # Per-batch tables have a zero row 0 so that each epoch sum adds up from
+    # 0.0 in batch order, as a running total would.
+    sizes = np.array([0, *(min(batch_size, n - start) for start in starts)])[:, None]
     stats: list[list[EpochStats]] = [[] for _ in configs]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(first.epochs):
@@ -346,23 +372,31 @@ def train_arms(
             weight_list = [_mode_weight(c.mode, epoch, c.loss) for c in configs]
             weights = np.array(weight_list, dtype=np.float64)
             order = np.random.default_rng([first.seed, epoch]).permutation(n)
-            nll_sum = np.zeros(len(configs))
-            soft_sum = np.zeros(len(configs))
-            total_sum = np.zeros(len(configs))
-            correct = np.zeros(len(configs), dtype=np.int64)
-            for batch, start in enumerate(range(0, n, first.batch_size)):
-                idx = order[start:start + first.batch_size]
-                xb, yb = train_set.features[idx], train_set.labels[idx]
+            features, labels = train_set.features[order], train_set.labels[order]
+            nll_rows = np.zeros((len(starts) + 1, len(configs)))
+            soft_rows = np.zeros((len(starts) + 1, len(configs)))
+            preds = np.empty((len(configs), n), dtype=np.intp)
+            for batch, start in enumerate(starts):
+                xb, yb = features[start:start + batch_size], labels[start:start + batch_size]
                 logits, hidden = _forward_stacked(params, xb)
                 _check_finite(logits, configs, weight_list,
                               f"at epoch {epoch}, batch {batch}")
-                nll, soft, dlogits = _joint_loss(_softmax(logits), yb, weights, first.loss)
-                params = sgd_step(params, _grads_stacked(params, xb, hidden, dlogits), lr)
-                b = idx.shape[0]
-                nll_sum += nll * b
-                soft_sum += soft * b
-                total_sum += (nll + weights * soft) * b
-                correct += (np.argmax(logits, axis=2) == yb).sum(axis=1)
+                # One argmax gives the softmax's row max and the predictions.
+                pred = logits.argmax(axis=2)
+                top = logits.reshape(-1)[row_offsets(*logits.shape) + pred]
+                nll, soft, dlogits = _joint_loss(_softmax(logits, top[..., None]),
+                                                 yb, weights, first.loss)
+                grads = _grads_stacked(params, xb, hidden, dlogits)
+                for name, arr in arrays.items():
+                    arr -= lr * getattr(grads, name)
+                nll_rows[batch + 1] = nll
+                soft_rows[batch + 1] = soft
+                preds[:, start:start + batch_size] = pred
+            # cumsum adds strictly in order; np.sum would pair the terms up.
+            nll_sum, soft_sum, total_sum = np.cumsum(
+                [nll_rows * sizes, soft_rows * sizes,
+                 (nll_rows + weights * soft_rows) * sizes], axis=1)[:, -1]
+            correct = (preds == labels).sum(axis=1)
             seconds = time.perf_counter() - tic
             for s, arm_stats in enumerate(stats):
                 arm_stats.append(

@@ -89,6 +89,10 @@ class TestNll:
     def test_rejects_bad_labels(self):
         with pytest.raises(DomainError):
             nll_loss(np.full((1, 2), 0.5), np.array([2]))
+        for bad in ([1.9], [0.7], [np.nan]):
+            with pytest.raises(DomainError, match="labels must be whole numbers"):
+                nll_loss(np.full((1, 2), 0.5), bad)
+        assert nll_loss(np.full((1, 2), 0.5), [1.0])[0] == math.log(2)  # a whole float is a class
 
 
 class TestSoftIndicator:
@@ -168,6 +172,18 @@ class TestSoftEce:
         with pytest.raises(DomainError):
             soft_ece(np.empty((0, 3)), np.empty(0, dtype=int), 10)
 
+    @pytest.mark.parametrize("probs, labels, message", [
+        ([[0.5, 0.5]], [0.7], "labels must be whole numbers"),
+        ([[0.5, 0.5]], [np.inf], "labels outside"),
+        ([[np.nan, 0.5]], [0], "probabilities must be finite"),
+        ([[np.inf, 0.5]], [0], "probabilities must be finite"),
+        ([[2.0, -1.0]], [0], r"probabilities outside \[0, 1\]"),
+    ], ids=["fractional-label", "infinite-label", "nan-prob", "infinite-prob",
+            "prob-outside-unit-interval"])
+    def test_rejects_bad_labels_and_probabilities(self, probs, labels, message):
+        with pytest.raises(DomainError, match=message):
+            soft_ece(probs, labels, 10)
+
 
 class TestSoftEceGrad:
     @pytest.mark.parametrize("variant", list(IndicatorVariant))
@@ -241,6 +257,9 @@ class TestCombinedLoss:
         v = self.at_epoch(z, labels, 7, cfg)
         assert v.total == pytest.approx(v.nll + v.ece_weight * v.soft_ece, abs=1e-12)
         assert v.ece_weight == pytest.approx(0.7 * 0.8)
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(DomainError, match="weight must be finite and non-negative"):
+                weighted_loss(z, labels, bad, cfg)
 
     def test_ramp_start_is_pure_nll(self):
         z = np.array([[0.3, -0.2], [1.0, 0.5]])

@@ -1,9 +1,9 @@
 """A frozen plain SGD trainer that the stacked loop must equal bit for bit.
 
 ``reference_train`` is one run of the trainer written as plain 2-D numpy,
-in the operation order the loop had before it was stacked and tuned:
-forward, softmax, NLL, the soft-ECE gradient with two ``np.add.at``
-scatters, backward and ``p - lr * g``. Any fast path in
+in the trainer's original operation order: forward, softmax, NLL, the
+soft-ECE gradient with two ``np.add.at`` scatters, backward and
+``p - lr * g``. Any fast path in
 ``training.train_arms`` or ``kernels.soft_ece_backward`` must keep every
 floating-point result of this code.
 """

@@ -229,6 +229,9 @@ class TestSgdStep:
             sgd_step(p, init_model(4, 2, 3, 0), 0.1)
         with pytest.raises(DomainError):
             sgd_step(p, p, 0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="learning_rate must be finite and positive"):
+                sgd_step(p, p, bad)
 
 
 @pytest.fixture(scope="module")
