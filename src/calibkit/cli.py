@@ -263,8 +263,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_log(args) -> Predictions:
+    """The log named by ``--predictions``; a bad ``--bins`` fails before the parse."""
+    if args.bins < 1:
+        raise DomainError(f"bin count must be >= 1, got {args.bins}")
+    return load_predictions(args.predictions, LogFormat.from_name(args.format))
+
+
 def _cmd_eval(args) -> int:
-    preds = load_predictions(args.predictions, LogFormat.from_name(args.format))
+    preds = _load_log(args)
     report, ece_value, table = evaluate(preds, args.bins)
     print(f"n: {preds.labels.shape[0]}")
     print(f"accuracy: {report.accuracy:.4f}")
@@ -278,7 +285,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    preds = load_predictions(args.predictions, LogFormat.from_name(args.format))
+    preds = _load_log(args)
     _write_diagram(args, build_reliability_table(preds, args.bins), Path(args.out), "diagram")
     return 0
 

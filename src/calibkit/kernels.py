@@ -72,8 +72,10 @@ def soft_ece_backward(probs, labels, edges, use_true_q):
     sample is sigmoid(tan(pi*q - pi/2)) with q the max probability, or the
     true-class probability when ``use_true_q``; q is clamped to
     [EPSILON, 1-EPSILON] before the tangent. Bin membership is frozen at
-    its forward value; the absolute value uses sign with sign(0) = 0; the
-    clamp contributes zero slope outside [EPSILON, 1-EPSILON].
+    its forward value; the absolute value uses sign with sign(0) = 0. The
+    clamp is flat outside [EPSILON, 1-EPSILON] with no mask: at either
+    end |t| is about 1/(pi*EPSILON), so g is exactly 0 or 1 and the slope
+    g*(1-g)*pi*(1+t^2) is exactly 0.
     """
     if probs.ndim == 2:
         value, dlogits = soft_ece_backward(probs[None], labels, edges, use_true_q)
@@ -99,7 +101,6 @@ def soft_ece_backward(probs, labels, edges, use_true_q):
 
     s = np.sign(gap)[ids] / n
     dgdq = g * (1.0 - g) * np.pi * (1.0 + t * t)
-    dgdq[qc != q] = 0.0  # the clamp is flat outside [EPSILON, 1-EPSILON]
     dprobs = np.zeros(probs.shape)
     dflat = dprobs.reshape(-1)
     dflat[at_q] = s * dgdq

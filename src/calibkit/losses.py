@@ -202,7 +202,9 @@ def weighted_loss(logits, labels, weight: float, config: LossConfig) -> LossValu
         raise DomainError(f"weight must be finite and non-negative, got {weight}")
     z = np.ascontiguousarray(logits, dtype=np.float64)
     p, y = _as_batch(softmax(z), labels)
-    nll, soft, grad = _joint_loss(p[None], y, np.array([weight], dtype=np.float64), config)
+    nll, soft, grad = _joint_loss(p[None], y, np.array([weight], dtype=np.float64),
+                                  bin_edges(config.m_train),
+                                  config.indicator_variant is IndicatorVariant.TRUE_CLASS_PROB)
     nll_value, soft_value = float(nll[0]), float(soft[0])
     return LossValue(
         nll=nll_value,
@@ -213,16 +215,15 @@ def weighted_loss(logits, labels, weight: float, config: LossConfig) -> LossValu
     )
 
 
-def _joint_loss(p: np.ndarray, y: np.ndarray, weights: np.ndarray, config: LossConfig):
+def _joint_loss(p: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                edges: np.ndarray, use_true_q: bool):
     """NLL (S,), soft-ECE (S,) and the logit gradient (S, n, K) of
     ``nll + weights[s] * soft_ece`` for a stack of S probability batches
-    (S, n, K) sharing the labels (n,). Inputs are trusted: callers check
-    them once, at their own boundary."""
+    (S, n, K) sharing the labels (n,), binned at ``edges`` with the
+    indicator variant that ``use_true_q`` picks. Inputs are trusted:
+    callers check them, and build the edges, once at their own boundary."""
     nll, nll_grad = _nll(p, y)
-    soft, soft_grad = soft_ece_backward(
-        p, y, bin_edges(config.m_train),
-        config.indicator_variant is IndicatorVariant.TRUE_CLASS_PROB,
-    )
+    soft, soft_grad = soft_ece_backward(p, y, edges, use_true_q)
     return nll, soft, nll_grad + weights[:, None, None] * soft_grad
 
 

@@ -80,6 +80,16 @@ class TestEval:
             "error: line 1: probabilities sum to inf, outside 1 +/- 1e-3\n")
         assert caught == []
 
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["diagram", "--out", "rel.svg"],
+    ], ids=["eval", "diagram"])
+    def test_bad_bins_fails_before_the_log_is_parsed(self, tmp_path, capsys, command):
+        log = tmp_path / "p.jsonl"
+        log.write_text("not json at all\n")  # parsing it would fail on line 1
+        code = run_cli([*command, "--predictions", str(log), "--bins", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bin count must be >= 1, got 0\n"
+
     def test_csv_format_flag(self, tmp_path, capsys):
         log = tmp_path / "p.csv"
         log.write_text("p0,p1,label\n0.9,0.1,0\n0.2,0.8,1\n")

@@ -1,5 +1,9 @@
 """Synthetic data generation, splitting, and prediction-log parsing."""
 
+import math
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from calibkit import (
     load_predictions,
     split,
 )
+from calibkit.data import _BLOCK_BYTES, _canonical_row, _load_canonical_jsonl, _load_rows
 
 # measured once with the nearest-centroid oracle below (seed 0) and frozen
 FROZEN_CENTROID_ACC = 0.654
@@ -316,3 +321,174 @@ def test_the_first_faulty_line_is_reported(tmp_path_factory, fmt, n, data):
         load_predictions(f, fmt)
     assert type(info.value) is expected
     assert info.value.line == len(HEADER[fmt]) + first + 1
+
+
+# -- The JSONL bulk route against the per-line route --------------------------
+
+
+def canonical_line(tokens, label):
+    """One row as save_predictions and json.dumps write it."""
+    return b'{"probs": [%s], "label": %s}\n' % (b", ".join(tokens), label)
+
+
+def outcome(load, path):
+    """Byte-exact arrays, or the error's class, message and line."""
+    try:
+        preds = load(path, LogFormat.JSONL)
+    except PredictionLogError as exc:
+        return type(exc), str(exc), exc.line
+    return preds.probs.tobytes(), preds.labels.tobytes()
+
+
+def assert_routes_agree(path):
+    assert outcome(load_predictions, path) == outcome(_load_rows, path)
+
+
+def move_mass(row, j):
+    """Row j's probability moved onto its neighbour, so it can take any
+    value and the row still sums to 1 within the tolerance."""
+    row = list(row)
+    row[(j + 1) % len(row)] += row[j]
+    row[j] = 0.0
+    return row
+
+
+# Tiny probabilities: subnormals and what repr writes as 1e-05-style exponents.
+TINY = [5e-324, 2.5e-310, 1e-300, 3.5e-07, 1e-05]
+# Texts of one probability that only the per-line route reads, or that it rejects.
+TOKEN_PERTURBATIONS = {text: text.encode() for text in
+                       ["-0", "-0.0", "01", ".5", "+0.5", "NaN", "1e400"]}
+TOKEN_PERTURBATIONS["400-digit integer"] = b"1" + b"0" * 400
+LINE_PERTURBATIONS = {
+    "extra space": lambda line: line.replace(b", ", b" ,  ", 1),
+    "swapped keys": lambda line: b'{"label": %s, "probs": [%s]}\n' % (
+        line[line.index(b"label") + 8:-2], line[11:line.index(b"]")]),
+    "CRLF": lambda line: line[:-1] + b"\r\n",
+    "blank line": lambda line: line + b"\n",
+    "non-ASCII key": lambda line: line[:-2] + ', "cl\u00e9": 1}\n'.encode(),
+    "label out of range": lambda line: line[:line.index(b"label") + 8] + b"99}\n",
+    "label past int64": lambda line: line[:line.index(b"label") + 8] + b"%d}\n" % 2**70,
+}
+
+
+@st.composite
+def canonical_logs(draw):
+    """(k, rows): 1 to 20 canonical rows of K = 2..12 probabilities, each
+    as (probabilities, their texts, label)."""
+    k = draw(st.integers(2, 12))
+    lines = []
+    for _ in range(draw(st.integers(1, 20))):
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+        total = sum(weights)
+        label = draw(st.integers(0, k - 1))
+        if total > 0 and not draw(st.booleans()):
+            row = [w / total for w in weights]
+        else:  # one-hot
+            row = [float(c == label) for c in range(k)]
+        if draw(st.booleans()):
+            j = draw(st.integers(0, k - 1))
+            row = move_mass(row, j)
+            row[j] = draw(st.sampled_from(TINY))
+        whole_as_int = draw(st.booleans())  # 0.0 and 1.0 written as 0 and 1
+        tokens = [b"%d" % v if whole_as_int and v in (0.0, 1.0) else repr(v).encode()
+                  for v in row]
+        lines.append((row, tokens, label))
+    return k, lines
+
+
+@pytest.mark.parametrize("perturbation", [
+    "none", "no final LF", *TOKEN_PERTURBATIONS, *LINE_PERTURBATIONS])
+@settings(max_examples=12, deadline=None)
+@given(log=canonical_logs(), data=st.data())
+def test_bulk_route_equals_the_per_line_route(tmp_path_factory, perturbation, log, data):
+    """Byte-identical arrays, or the same error on the same line, whether a
+    canonical log carries one perturbed line or none."""
+    k, rows = log
+    lines = [canonical_line(tokens, b"%d" % label) for _, tokens, label in rows]
+    at = data.draw(st.integers(0, len(rows) - 1))
+    if perturbation in TOKEN_PERTURBATIONS:
+        row, _, label = rows[at]
+        j = data.draw(st.integers(0, k - 1))
+        text = TOKEN_PERTURBATIONS[perturbation]
+        value = float(text)
+        row = move_mass(row, j)
+        if math.isfinite(value):  # the row still sums to 1 if the text is read
+            row = [p * (1.0 - value) for p in row]
+        tokens = [repr(p).encode() for p in row]
+        tokens[j] = text
+        lines[at] = canonical_line(tokens, b"%d" % label)
+    elif perturbation in LINE_PERTURBATIONS:
+        lines[at] = LINE_PERTURBATIONS[perturbation](lines[at])
+    body = b"".join(lines)
+    if perturbation == "no final LF":
+        body = body[:-1]
+    path = tmp_path_factory.mktemp("bulk") / "p.jsonl"
+    path.write_bytes(body)
+    # Small blocks cut the log at every line end or every few.
+    block = data.draw(st.sampled_from([_BLOCK_BYTES, 64, 300]))
+    with mock.patch("calibkit.data._BLOCK_BYTES", block):
+        assert_routes_agree(path)
+        if perturbation in ("none", "no final LF"):
+            assert _load_canonical_jsonl(path) is not None
+
+
+def write_long_log(path, n, k=10, seed=0):
+    """n canonical rows of seeded softmax probabilities."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, k)) * 3.0
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    labels = rng.integers(0, k, n)
+    path.write_bytes(b"".join(
+        canonical_line([repr(v).encode() for v in row], b"%d" % y)
+        for row, y in zip(probs.tolist(), labels.tolist())))
+    return path
+
+
+class TestBulkRoute:
+    def test_a_log_longer_than_one_block(self, tmp_path):
+        path = write_long_log(tmp_path / "p.jsonl", 6000)
+        assert path.stat().st_size > 1.2 * _BLOCK_BYTES
+        assert _load_canonical_jsonl(path) is not None
+        assert_routes_agree(path)
+
+    def test_a_fault_in_a_later_block_names_its_line(self, tmp_path):
+        """The bulk route has taken the first block when it meets the fault;
+        the per-line route starts over from line 1."""
+        path = write_long_log(tmp_path / "p.jsonl", 6000)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[5800] = b'{"probs": [0.9, 0.9], "label": 0}\n'
+        path.write_bytes(b"".join(lines))
+        assert _load_canonical_jsonl(path) is None
+        with pytest.raises(MalformedRowError, match="line 5801: expected 10 probabilities"):
+            load_predictions(path, LogFormat.JSONL)
+        assert_routes_agree(path)
+
+    def test_a_sum_fault_in_a_later_block_is_raised_without_a_second_parse(
+            self, tmp_path, monkeypatch):
+        """A canonical log whose fault is a probability sum gets the per-line
+        route's error straight from the bulk route."""
+        path = write_long_log(tmp_path / "p.jsonl", 6000)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[5800] = canonical_line([b"0.9", b"0.9"] + [b"0"] * 8, b"0")
+        path.write_bytes(b"".join(lines))
+        want = outcome(_load_rows, path)
+        assert want[0] is ProbabilitySumError and want[2] == 5801
+
+        def per_line_route(*args):
+            raise AssertionError("the per-line route ran")
+
+        monkeypatch.setattr("calibkit.data._load_rows", per_line_route)
+        assert outcome(load_predictions, path) == want
+
+    def test_a_token_count_mismatch_takes_the_per_line_route(self, tmp_path, monkeypatch):
+        path = write_long_log(tmp_path / "p.jsonl", 500)
+        want = outcome(_load_rows, path)
+        monkeypatch.setattr(np, "fromstring", lambda *args, **kwargs: np.empty(0))
+        assert _load_canonical_jsonl(path) is None
+        assert outcome(load_predictions, path) == want
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_the_row_regex_compiles_before_python_3_11(self, k):
+        """pyproject.toml allows Python 3.10, whose re has no atomic groups
+        and no possessive quantifiers."""
+        assert re.search(rb"\(\?>|[*+?}]\+", _canonical_row(k).pattern) is None

@@ -52,6 +52,28 @@ WIDE_DIGESTS = {
     "run.json": "8a04e2c5c030060d5d379bb89c4d9ce86c8bfd2447d42dc7607857d4a612a103",
 }
 
+# eval --diagram and diagram on the 5 000-row log that write_log makes;
+# "stdout" is the digest of what the command prints.
+LOG_DIGESTS = {
+    "eval": {
+        "reliability.run.json": "d1eaadd99eb5cfbd4e67aa7a7a0f1f27b0d424927836a541e13d815dbb4d464d",
+        "reliability.svg": "1f5d779de066d9971709ad8eff03185e8249d4cbe474925133b14f2cc89f79bf",
+        "stdout": "0ebbf94138a0f194761a3f686549d102c68f3e957c4997e916259f5d8ab5a3bb",
+    },
+    "diagram": {
+        "reliability.run.json": "aeac4bb1a56342dcf66e84f8ea290cfff2f205fb065510f3b947c913d05133e5",
+        "reliability.svg": "1f5d779de066d9971709ad8eff03185e8249d4cbe474925133b14f2cc89f79bf",
+        "stdout": "ffa1d41a41ffe82c944451692515b0ca384a27ec0020e160cfb3f364e6a98362",
+    },
+}
+
+LOG_COMMANDS = {
+    "eval": ["eval", "--predictions", "predictions.jsonl", "--bins", "15",
+             "--diagram", "out/reliability.svg"],
+    "diagram": ["diagram", "--predictions", "predictions.jsonl", "--bins", "15",
+                "--out", "out/reliability.svg"],
+}
+
 pytestmark = pytest.mark.skipif(
     _platform() != PINNED_PLATFORM,
     reason=f"digests pinned on numpy/BLAS {PINNED_PLATFORM}, found {_platform()}",
@@ -74,3 +96,38 @@ def test_artifacts_match_pinned_digests(tmp_path, capsys, args, expected):
     assert run_cli([*args, "--out", str(out)]) == 0
     capsys.readouterr()
     assert _digests(out) == expected
+
+
+def write_log(path, swap_keys):
+    """A seeded 5 000 x 10 log of overconfident softmax rows, each number
+    written with repr. Canonical (as save_predictions writes it) unless
+    ``swap_keys`` puts "label" before "probs" on every line."""
+    rng = np.random.default_rng(7)
+    n, k = 5000, 10
+    labels = rng.integers(0, k, n)
+    logits = rng.standard_normal((n, k))
+    logits[np.arange(n), labels] += 1.5
+    z = 2.0 * logits
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        for row, y in zip(probs.tolist(), labels.tolist()):
+            numbers = ", ".join(map(repr, row))
+            if swap_keys:
+                fh.write(f'{{"label": {y}, "probs": [{numbers}]}}\n')
+            else:
+                fh.write(f'{{"probs": [{numbers}], "label": {y}}}\n')
+
+
+@pytest.mark.parametrize("swap_keys", [False, True], ids=["canonical", "keys-swapped"])
+@pytest.mark.parametrize("command", sorted(LOG_COMMANDS))
+def test_log_artifacts_match_pinned_digests(tmp_path, monkeypatch, capsys,
+                                            command, swap_keys):
+    """The bulk route (canonical log) and the per-line route (keys swapped)
+    give the same bytes."""
+    monkeypatch.chdir(tmp_path)  # the manifest records the log's path as given
+    write_log(tmp_path / "predictions.jsonl", swap_keys)
+    assert run_cli(LOG_COMMANDS[command]) == 0
+    got = _digests(tmp_path / "out")
+    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == LOG_DIGESTS[command]

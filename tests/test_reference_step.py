@@ -187,3 +187,23 @@ def test_soft_ece_backward_equals_the_frozen_kernel(shape, use_true_q):
                                                           use_true_q)
             assert values[i] == want_value
             assert np.array_equal(grads[i], want_grad)
+
+
+CLAMP_QS = [0.0, kernels.EPSILON / 2, kernels.EPSILON,
+            1.0 - kernels.EPSILON, 1.0 - kernels.EPSILON / 2, 1.0]
+
+
+@pytest.mark.parametrize("use_true_q", [False, True])
+def test_soft_ece_backward_is_flat_at_the_clamp(use_true_q):
+    """The frozen kernel masks the slope past the clamp; the kernel must
+    give the same gradient there. The label's probability takes every
+    value of CLAMP_QS; the max probability, at least 1/K, takes the top
+    three."""
+    rows = [[q, (1.0 - q) / 2, (1.0 - q) / 2] for q in CLAMP_QS]
+    probs = np.array(rows + [[0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])
+    labels = np.zeros(len(probs), dtype=np.int64)
+    edges = kernels.bin_edges(10)
+    value, grad = kernels.soft_ece_backward(probs, labels, edges, use_true_q)
+    want_value, want_grad = ref_soft_ece_backward(probs, labels, edges, use_true_q)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
