@@ -134,10 +134,9 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _prepare_splits(args, seed: int) -> tuple[tuple[Dataset, Dataset, Dataset], SplitSpec]:
+def _prepare_splits(args, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     dataset = gen_synthetic(args.classes, args.per_class, args.dim, args.overlap, seed)
-    spec = SplitSpec(ratios=args.split, seed=seed)
-    return split(dataset, spec), spec
+    return split(dataset, SplitSpec(ratios=args.split, seed=seed))
 
 
 def _resolve_gamma(args, seed: int, train_set: Dataset, val_set: Dataset):
@@ -247,14 +246,15 @@ def _write_arm(args, trained, test_set: Dataset, out_dir: Path,
 
 def _cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
-    splits, _ = _prepare_splits(args, seed)
-    gamma_value, gamma_source = _resolve_gamma(args, seed, splits[0], splits[1])
+    train_set, val_set, test_set = _prepare_splits(args, seed)
+    gamma_value, gamma_source = _resolve_gamma(args, seed, train_set, val_set)
     out_dir = Path(args.out)
     manifest = _manifest(args, command="train", seed=seed, mode=args.mode,
                          gamma_value=gamma_value, gamma_source=gamma_source)
-    trained = train(splits[0], splits[1],
+    trained = train(train_set, val_set,
                     _train_config(args, seed, TrainingMode.from_name(args.mode), gamma_value))
-    test_report, test_ece = _write_arm(args, trained, splits[2], out_dir, manifest)
+    del train_set, val_set  # only the test split is needed from here on
+    test_report, test_ece = _write_arm(args, trained, test_set, out_dir, manifest)
     print(f"mode: {args.mode}")
     print(f"gamma_e: {gamma_value:.6f} ({gamma_source})")
     print(f"test accuracy: {test_report.accuracy:.4f}")
@@ -344,19 +344,20 @@ def _cmd_compare(args) -> int:
 
 def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args.seed)
-    splits, _ = _prepare_splits(args, seed)
-    gamma_value, gamma_source = _resolve_gamma(args, seed, splits[0], splits[1])
+    train_set, val_set, test_set = _prepare_splits(args, seed)
+    gamma_value, gamma_source = _resolve_gamma(args, seed, train_set, val_set)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     modes = list(TrainingMode)  # vanilla, curriculum, fixed
-    arms = train_arms(splits[0], splits[1],
+    arms = train_arms(train_set, val_set,
                       [_train_config(args, seed, mode, gamma_value) for mode in modes])
+    del train_set, val_set  # only the test split is needed from here on
     entries = []
     for mode, trained in zip(modes, arms):
         name = mode.value
         manifest = _manifest(args, command="experiment", seed=seed, mode=name,
                              gamma_value=gamma_value, gamma_source=gamma_source)
-        test_report, test_ece = _write_arm(args, trained, splits[2], out_dir / name, manifest)
+        test_report, test_ece = _write_arm(args, trained, test_set, out_dir / name, manifest)
         entries.append((name, test_report, test_ece))
         print(f"{name}: accuracy {test_report.accuracy:.4f}, ece {test_ece:.6f}")
     table_md = comparison_table(entries)

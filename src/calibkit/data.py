@@ -15,38 +15,64 @@ and confidence are always recomputed from the probabilities.
 
 A JSONL log takes one of two routes, with bit-identical results:
 
-* The bulk route reads the file in blocks of about 1 MiB, each cut at a
-  line end. A block is taken only if every line in it is a canonical row,
-  exactly as ``save_predictions`` and ``json.dumps`` write it:
-  ``{"probs": [N, ..., N], "label": L}`` with K non-negative JSON numbers
-  and a LF ending. The punctuation is then cut out and all numbers of the
-  block parse in one C call, correctly rounded like ``float``. This route
-  exists for speed: a ``json.loads`` per row, with its dict, list and
-  Python floats, costs about three times as much as parsing the decimals.
+* The bulk route (:mod:`calibkit._bulk`) reads the file in blocks of
+  about 1 MiB, each cut at a line end. A block is taken only if every
+  line in it is a canonical row, exactly as ``save_predictions`` and
+  ``json.dumps`` write it: ``{"probs": [N, ..., N], "label": L}`` with K
+  non-negative JSON numbers and a LF ending. The punctuation is then cut
+  out and all numbers of the block parse in one C call, correctly
+  rounded like ``float``. This route exists for speed: a ``json.loads``
+  per row, with its dict, list and Python floats, costs about three
+  times as much as parsing the decimals.
 * The per-line route (:func:`_load_rows`) parses each line with
-  ``json.loads`` and reads any JSON the format allows. A log runs it
-  from the start when any line is not canonical (other spacing or key
-  order, CRLF, non-ASCII, a blank line, a ``-``), when a number
-  overflows a float or when a label is >= K, so those errors are the
-  per-line route's. Any other fault of a canonical log (a negative
-  number cannot occur) is a probability sum outside tolerance, which
-  both routes report from the same final check on the same arrays, so
-  the bulk route raises it itself without a second parse.
+  ``json.loads`` and reads any JSON the format allows. It takes over at
+  the first line of the first block that is not canonical (other
+  spacing or key order, CRLF, non-ASCII, a blank line, a ``-``), or
+  whose number overflows a float or whose label is >= K, so those errors
+  are the per-line route's. It keeps the rows read before that block,
+  and a value fault among them is still reported before a later parse
+  fault. Any other fault of a canonical log (a negative number cannot
+  occur) is a probability sum outside tolerance, which both routes
+  report from the same final check on the same arrays, so the bulk
+  route raises it itself.
+
+A JSONL log of at least ``_SPLIT_BYTES`` (32 MiB), read by a process that
+may run on two or more CPUs, is cut in two at the first line start at or
+after its byte midpoint. Before this process parses the head, it starts
+one helper interpreter (``python _bulk.py PATH CUT K``, which imports
+numpy but not calibkit) that parses the tail with the same block parser
+and, once it is done, writes the tail's rows up to its first block that
+is not canonical to a pipe: a row count, that block's offset, and the
+raw float64 probabilities and int64 labels (no pickle). The head's rows
+go first, then the tail's; the per-line route resumes at that block if
+there is one, and one final check runs over all rows from line 1, so
+arrays, errors and line numbers are those of a single process. A helper
+that cannot start, exits non-zero or writes short output leaves the tail
+to this process. The helper is waited for on every path, and killed
+first unless it has finished, so no process outlives
+:func:`load_predictions`. CSV logs, smaller logs and single-CPU runs use
+this process alone.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import re
+import os
+import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _bulk
+from ._bulk import BLOCK_BYTES as _BLOCK_BYTES
+from ._bulk import canonical_row as _canonical_row
 from .errors import (
     DomainError,
     LabelRangeError,
@@ -57,9 +83,15 @@ from .errors import (
 )
 from .metrics import Predictions
 
+if TYPE_CHECKING:
+    import subprocess
+
 # Cluster centers sit at simplex vertices scaled by this factor; together
 # with the per-class standard deviation it sets the attainable accuracy.
 CLUSTER_SPREAD = 2.0
+# A JSONL log this long is parsed in two processes: about twice the size
+# at which two processes start to beat one on two CPUs.
+_SPLIT_BYTES = 32 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +215,10 @@ class LogFormat(Enum):
             raise DomainError(f"unknown prediction log format {name!r}") from None
 
 
-def _utf8_lines(fh):
+def _utf8_lines(fh, first_line: int = 1):
     """Lines of a file opened with errors="surrogateescape": a non-UTF-8
     byte decodes to a lone surrogate, which fails to re-encode."""
-    for line_no, line in enumerate(fh, start=1):
+    for line_no, line in enumerate(fh, start=first_line):
         if not line.isascii():
             try:
                 line.encode("utf-8")
@@ -195,9 +227,12 @@ def _utf8_lines(fh):
         yield line
 
 
-def _iter_jsonl_rows(path: Path):
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(_utf8_lines(fh), start=1):
+def _iter_jsonl_rows(path: Path, offset: int, first_line: int):
+    """The rows from byte ``offset``, a line start on line ``first_line``."""
+    with path.open("rb") as binary:
+        binary.seek(offset)
+        fh = io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape")
+        for line_no, raw in enumerate(_utf8_lines(fh, first_line), start=first_line):
             if not raw.strip():
                 raise MalformedRowError("blank line", line_no)
             try:
@@ -276,96 +311,173 @@ def _checked_arrays(flat: array, labels: list[int], k: int,
     return p / totals[:, None], y
 
 
-# The canonical JSONL row is _ROW_HEAD, K numbers joined by ", ", _ROW_MID,
-# the label and _ROW_END.
-_ROW_HEAD, _ROW_MID, _ROW_END = b'{"probs": [', b'], "label": ', b"}\n"
-# A non-negative JSON number. A "-" is never canonical: JSON -0 loads as
-# the int 0 (+0.0) while float("-0") is -0.0. No atomic groups or
-# possessive quantifiers: re has them only from Python 3.11 on. The grammar
-# is unambiguous, so a failed match backtracks only within one token. The
-# "|)" branches match faster than "?" groups in Python's re.
-_NUMBER = rb"(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][+-]?[0-9]+|)"
-_BLOCK_BYTES = 1 << 20
+class _Rows:
+    """The rows of a log parsed so far: flat float64 probabilities, their
+    labels, K and the line of the first row. K is None until a row is in."""
+
+    def __init__(self):
+        # One flat typed buffer: a list of per-row lists would take about twice the memory.
+        self.flat, self.labels = array("d"), []
+        self.k = self.first_line = None
+
+    def add(self, probs, labels: np.ndarray, k: int) -> None:
+        """Append canonical JSONL rows: their probabilities as raw float64
+        bytes and their int64 labels."""
+        if self.k is None:
+            self.k, self.first_line = k, 1
+        self.flat.frombytes(probs)
+        self.labels.extend(labels.tolist())
+
+    def checked(self) -> tuple[np.ndarray, np.ndarray]:
+        return _checked_arrays(self.flat, self.labels, self.k, self.first_line)
 
 
-def _canonical_row(k: int) -> re.Pattern:
-    """A regex that one canonical K-class row matches in full."""
-    return re.compile(re.escape(_ROW_HEAD) + b", ".join([_NUMBER] * k) + re.escape(_ROW_MID)
-                      + rb"(?:0|[1-9][0-9]*)" + re.escape(_ROW_END))
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _parse_canonical_block(lines: list[bytes], k: int, pattern: re.Pattern) -> np.ndarray | None:
-    """The (rows, K+1) numbers of a block of canonical K-class rows, the
-    label last, or None if a line does not match ``pattern``, a number
-    overflows or a label is >= K: the per-line route reports those from
-    its own row checks.
-
-    A function of its own so that the block's buffers are freed before
-    the final check allocates the normalized matrix."""
-    if not lines[-1].endswith(b"\n"):  # a final line without its LF
-        lines[-1] += b"\n"
-    if not all(map(pattern.fullmatch, lines)):
+def _split_point(fh) -> int | None:
+    """The byte offset where a helper takes over a log's tail: the first
+    line start at or after the midpoint. None when the log is below
+    _SPLIT_BYTES, when this process may use only one CPU or does not
+    know its interpreter, or when no line starts after the midpoint."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < _SPLIT_BYTES or _cpus() < 2 or not sys.executable:
         return None
-    text = (b"".join(lines)[len(_ROW_HEAD):-len(_ROW_END)]
-            .replace(_ROW_END + _ROW_HEAD, b",").replace(_ROW_MID, b","))
-    values = np.fromstring(text, sep=",")
-    if values.size != len(lines) * (k + 1):
+    fh.seek(size // 2 - 1)  # the first line holds K >= 2 commas, so size >= 3
+    fh.readline()
+    cut = fh.tell()
+    fh.seek(0)
+    return cut if cut < size else None
+
+
+def _start_helper(path: Path, cut: int, k: int) -> subprocess.Popen | None:
+    """A second interpreter that parses the log from ``cut`` (see
+    :mod:`calibkit._bulk`), or None if it cannot start."""
+    import subprocess  # here, not at the top: it adds 4 ms to every command's start
+
+    try:
+        return subprocess.Popen([sys.executable, _bulk.__file__, os.fspath(path), str(cut), str(k)],
+                                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL,
+                                # The helper makes no BLAS call, and an idle OpenBLAS
+                                # worker thread spins for about 0.13 s of CPU.
+                                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    except OSError:
         return None
-    values = values.reshape(-1, k + 1)
-    # Checked here, before the int cast that a label past int64 would overflow.
-    return values if np.isfinite(values).all() and (values[:, k] < k).all() else None
+
+
+def _helper_rows(helper: subprocess.Popen, k: int):
+    """The helper's (probability bytes, labels, offset where the per-line
+    route resumes or None), or None when it failed: it exited non-zero
+    or its output is short."""
+    out, _ = helper.communicate()
+    if helper.returncode != 0 or len(out) < 16:
+        return None
+    n, resume = np.frombuffer(out, np.int64, count=2).tolist()
+    if n < 0 or resume < -1 or len(out) != 16 + n * (k + 1) * 8:
+        return None
+    probs_end = 16 + n * k * 8
+    return (memoryview(out)[16:probs_end], np.frombuffer(out, np.int64, offset=probs_end),
+            None if resume == -1 else resume)
+
+
+def _reap(helper: subprocess.Popen) -> None:
+    """Kill the helper unless it has been waited for, wait for it and
+    close its pipe."""
+    helper.kill()
+    helper.wait()
+    helper.stdout.close()
+
+
+def _read_blocks(fh, stop: int | None, k: int, pattern, rows: _Rows) -> int | None:
+    """Add the canonical rows from the file's position up to ``stop`` (None
+    for the end) to ``rows``; the offset of the first block that is not
+    canonical, where nothing of it was added, or None."""
+    for offset, lines in _bulk.blocks(fh, stop, _BLOCK_BYTES):
+        values = _bulk.parse_block(lines, k, pattern)
+        if values is None:
+            return offset
+        rows.add(values[:, :k].tobytes(), values[:, k].astype(np.int64), k)
+    return None
+
+
+def _read_canonical_jsonl(path: Path) -> tuple[_Rows, int | None]:
+    """The bulk route: the rows of a JSONL log up to its first block that
+    is not canonical, and that block's byte offset, where the per-line
+    route resumes (None when every row was read).
+
+    A log of at least _SPLIT_BYTES on two or more CPUs is cut in two
+    (see the module docstring); a helper parses the tail while this
+    process parses the head, and it never outlives this call."""
+    rows = _Rows()
+    with path.open("rb") as fh:
+        # K-1 commas between the numbers, one before "label"
+        k = fh.readline().count(b",")
+        if k < 2:
+            return rows, 0
+        fh.seek(0)
+        pattern = _canonical_row(k)
+        cut = _split_point(fh)
+        if cut is None:
+            return rows, _read_blocks(fh, None, k, pattern, rows)
+        # Started first, so that it overlaps the head's parse.
+        helper = _start_helper(path, cut, k)
+        try:
+            resume = _read_blocks(fh, cut, k, pattern, rows)
+            if resume is not None:
+                return rows, resume
+            tail = None if helper is None else _helper_rows(helper, k)
+            if tail is None:  # no helper, or it failed: parse the tail here
+                return rows, _read_blocks(fh, None, k, pattern, rows)
+            probs, labels, resume = tail
+            rows.add(probs, labels, k)
+            return rows, resume
+        finally:
+            if helper is not None:
+                _reap(helper)
 
 
 def _load_canonical_jsonl(path: Path) -> Predictions | None:
-    """The bulk route: the predictions of a JSONL log whose rows are all
-    canonical, else None. A value fault raises the error that the
+    """The bulk route alone: the predictions of a JSONL log whose rows are
+    all canonical, else None. A value fault raises the error that the
     per-line route would raise for it."""
-    flat, labels = array("d"), []
-    k = None
-    with path.open("rb") as fh:
-        while lines := fh.readlines(_BLOCK_BYTES):
-            if k is None:
-                # K-1 commas between the numbers, one before "label"
-                k = lines[0].count(b",")
-                if k < 2:
-                    return None
-                pattern = _canonical_row(k)
-            values = _parse_canonical_block(lines, k, pattern)
-            if values is None:
-                return None
-            flat.frombytes(values[:, :k].tobytes())
-            labels.extend(values[:, k].astype(np.int64).tolist())
-    if k is None:
-        return None
-    # Every row parsed, is finite and has a label below K, so the per-line
-    # route would end in this same check on the same arrays.
-    return Predictions(*_checked_arrays(flat, labels, k, 1))
+    rows, resume = _read_canonical_jsonl(path)
+    return Predictions(*rows.checked()) if resume is None else None
 
 
-def _load_rows(path: Path, fmt: LogFormat) -> Predictions:
-    """The per-line route: any JSONL or CSV log, one parsed line at a time."""
-    rows = _iter_jsonl_rows(path) if fmt is LogFormat.JSONL else _iter_csv_rows(path)
-    # One flat typed buffer: a list of per-row lists would take about twice the memory.
-    flat, labels = array("d"), []
-    k = first_line = None
+def _load_rows(path: Path, fmt: LogFormat, rows: _Rows | None = None,
+               offset: int = 0) -> Predictions:
+    """The per-line route: any JSONL or CSV log, one parsed line at a time.
+    A JSONL log may resume at byte ``offset``, a line start, after the
+    bulk route has read the ``rows`` before it."""
+    if rows is None:
+        rows = _Rows()
+    if fmt is LogFormat.JSONL:
+        parsed = _iter_jsonl_rows(path, offset, len(rows.labels) + 1)
+    else:
+        parsed = _iter_csv_rows(path)
     try:
-        for line_no, probs, label in rows:
-            if k is None:
+        for line_no, probs, label in parsed:
+            if rows.k is None:
                 if len(probs) < 2:
                     raise MalformedRowError(f"need at least 2 probabilities, got {len(probs)}", line_no)
-                k, first_line = len(probs), line_no
-            elif len(probs) != k:
-                raise MalformedRowError(f"expected {k} probabilities, got {len(probs)}", line_no)
-            flat.extend(probs)
-            labels.append(label)
+                rows.k, rows.first_line = len(probs), line_no
+            elif len(probs) != rows.k:
+                raise MalformedRowError(f"expected {rows.k} probabilities, got {len(probs)}", line_no)
+            rows.flat.extend(probs)
+            rows.labels.append(label)
     except MalformedRowError:
-        if k is not None:
+        if rows.k is not None:
             # A value fault on an earlier line is reported before this one.
-            _checked_arrays(flat, labels, k, first_line)
+            rows.checked()
         raise
-    if k is None:
+    if rows.k is None:
         raise PredictionLogError("file contains no prediction rows")
-    return Predictions(*_checked_arrays(flat, labels, k, first_line))
+    return Predictions(*rows.checked())
 
 
 def load_predictions(path, fmt: LogFormat) -> Predictions:
@@ -374,13 +486,16 @@ def load_predictions(path, fmt: LogFormat) -> Predictions:
     Raises a distinct error for a missing file, a malformed row, a
     probability sum outside tolerance, or an out-of-range label; row
     errors carry the 1-based line number of the first faulty line.
-    A JSONL log tries the bulk route first (see the module docstring).
+    A JSONL log takes the bulk route up to its first block that is not
+    canonical and the per-line route from there (see the module
+    docstring).
     """
     path = Path(path)
     if not path.is_file():
         raise MissingLogError(f"prediction log not found: {path}")
-    if fmt is LogFormat.JSONL:
-        preds = _load_canonical_jsonl(path)
-        if preds is not None:
-            return preds
-    return _load_rows(path, fmt)
+    if fmt is LogFormat.CSV:
+        return _load_rows(path, fmt)
+    rows, resume = _read_canonical_jsonl(path)
+    if resume is None:
+        return Predictions(*rows.checked())
+    return _load_rows(path, fmt, rows, resume)

@@ -1,7 +1,11 @@
 """Synthetic data generation, splitting, and prediction-log parsing."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,8 +25,10 @@ from calibkit import (
     SplitSpec,
     gen_synthetic,
     load_predictions,
+    save_predictions,
     split,
 )
+from calibkit import data as data_module
 from calibkit.data import _BLOCK_BYTES, _canonical_row, _load_canonical_jsonl, _load_rows
 
 # measured once with the nearest-centroid oracle below (seed 0) and frozen
@@ -430,6 +436,12 @@ def test_bulk_route_equals_the_per_line_route(tmp_path_factory, perturbation, lo
         assert_routes_agree(path)
         if perturbation in ("none", "no final LF"):
             assert _load_canonical_jsonl(path) is not None
+        # A helper parses the tail of any log with a line after its midpoint.
+        # One draw in three, since each helper costs an interpreter start.
+        if data.draw(st.sampled_from([False, False, True]), label="split"):
+            with mock.patch("calibkit.data._SPLIT_BYTES", 0), \
+                    mock.patch("calibkit.data._cpus", lambda: 2):
+                assert outcome(load_predictions, path) == outcome(_load_rows, path)
 
 
 def write_long_log(path, n, k=10, seed=0):
@@ -492,3 +504,220 @@ class TestBulkRoute:
         """pyproject.toml allows Python 3.10, whose re has no atomic groups
         and no possessive quantifiers."""
         assert re.search(rb"\(\?>|[*+?}]\+", _canonical_row(k).pattern) is None
+
+
+def with_line(path, at, line):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[at] = line
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+# -- Resuming the per-line route ----------------------------------------------
+
+
+def count_json_loads(monkeypatch):
+    """A list that grows by one with each json.loads the per-line route makes."""
+    calls = []
+    loads = data_module.json.loads
+
+    def counted(text):
+        calls.append(text)
+        return loads(text)
+
+    monkeypatch.setattr(data_module.json, "loads", counted)
+    return calls
+
+
+# A valid row that only the per-line route reads.
+SWAPPED = b'{"label": 0, "probs": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]}\n'
+
+
+class TestResume:
+    @pytest.mark.parametrize("fault, last_line", [
+        (b'{"probs": [0.9, 0.9], "label": 0}\n', 5801),
+        (SWAPPED, 6000),
+    ], ids=["malformed", "keys-swapped"])
+    def test_a_late_fault_resumes_at_its_block(self, tmp_path, monkeypatch, fault, last_line):
+        """The per-line route parses only the lines from the start of the
+        block that holds line 5801, the first that is not canonical, up to
+        the fault that stops it or the end."""
+        path = with_line(write_long_log(tmp_path / "p.jsonl", 6000), 5800, fault)
+        want = outcome(_load_rows, path)
+        monkeypatch.setattr(data_module, "_BLOCK_BYTES", 4096)  # about 17 lines
+        calls = count_json_loads(monkeypatch)
+        assert outcome(load_predictions, path) == want
+        assert 0 <= len(calls) - (last_line - 5800) < 20
+
+    def test_a_value_fault_in_the_bulk_prefix_comes_first(self, tmp_path):
+        """A sum fault on line 10 is reported before a parse fault on line
+        5801, though the bulk route read line 10 and the per-line route the
+        other."""
+        path = write_long_log(tmp_path / "p.jsonl", 6000)
+        with_line(path, 9, canonical_line([b"0.9", b"0.9"] + [b"0"] * 8, b"0"))
+        with_line(path, 5800, b"{}\n")
+        with pytest.raises(ProbabilitySumError) as info:
+            load_predictions(path, LogFormat.JSONL)
+        assert info.value.line == 10
+        assert_routes_agree(path)
+
+
+# -- The split route: a helper parses the tail ---------------------------------
+
+
+def force_split(monkeypatch, command=None, error=None):
+    """Split every log with a line after its midpoint, and return the list
+    of helpers started. ``command`` replaces the helper's program and
+    ``error`` is raised in place of starting it."""
+    monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(data_module, "_cpus", lambda: 2)
+    started = []
+    popen = subprocess.Popen
+
+    def start(args, **kwargs):
+        if error is not None:
+            raise error
+        proc = popen(command or args, **kwargs)
+        started.append(proc)
+        return proc
+
+    monkeypatch.setattr(subprocess, "Popen", start)
+    return started
+
+
+def spy_reads(monkeypatch):
+    """The ``stop`` of each in-process run of the block parser."""
+    stops = []
+    read = data_module._read_blocks
+
+    def spy(fh, stop, *args):
+        stops.append(stop)
+        return read(fh, stop, *args)
+
+    monkeypatch.setattr(data_module, "_read_blocks", spy)
+    return stops
+
+
+class TestSplitRoute:
+    def test_the_helper_parses_the_tail(self, tmp_path, monkeypatch):
+        path = write_long_log(tmp_path / "p.jsonl", 400)
+        want = outcome(_load_rows, path)
+        helpers = force_split(monkeypatch)
+        stops = spy_reads(monkeypatch)
+        assert outcome(load_predictions, path) == want
+        assert [h.returncode for h in helpers] == [0]
+        # This process read the head alone, up to a line start past the midpoint.
+        (cut,) = stops
+        body = path.read_bytes()
+        assert len(body) // 2 <= cut < len(body) and body[cut - 1:cut] == b"\n"
+
+    @pytest.mark.parametrize("at, line", [
+        (10, b'{"probs": [0.9, 0.9], "label": 0}\n'),
+        (390, b'{"probs": [0.9, 0.9], "label": 0}\n'),
+        (390, canonical_line([b"0.1"] * 10, b"10")),
+    ], ids=["non-canonical-head", "non-canonical-tail", "label-in-tail"])
+    def test_a_fault_takes_the_per_line_route(self, tmp_path, monkeypatch, at, line):
+        path = with_line(write_long_log(tmp_path / "p.jsonl", 400), at, line)
+        want = outcome(_load_rows, path)
+        helpers = force_split(monkeypatch)
+        assert outcome(load_predictions, path) == want
+        assert want[2] == at + 1
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+
+    def test_a_late_fault_in_the_tail_resumes_at_its_block(self, tmp_path, monkeypatch):
+        """The helper hands back the tail's rows before its first block that
+        is not canonical, so the per-line route starts there, not at the cut."""
+        path = with_line(write_long_log(tmp_path / "p.jsonl", 20000), 19990, SWAPPED)
+        want = outcome(_load_rows, path)
+        helpers = force_split(monkeypatch)
+        calls = count_json_loads(monkeypatch)
+        assert outcome(load_predictions, path) == want
+        assert [h.returncode for h in helpers] == [0]
+        # The tail holds 10 000 lines and a helper block about 4 500.
+        assert 10 <= len(calls) < 4600
+
+    def test_a_sum_fault_in_the_tail_names_its_line(self, tmp_path, monkeypatch):
+        path = with_line(write_long_log(tmp_path / "p.jsonl", 400), 350,
+                         canonical_line([b"0.9", b"0.9"] + [b"0"] * 8, b"0"))
+        want = outcome(_load_rows, path)
+        helpers = force_split(monkeypatch)
+        monkeypatch.setattr(data_module, "_load_rows", None)  # the per-line route never runs
+        assert outcome(load_predictions, path) == want
+        assert want[0] is ProbabilitySumError and want[2] == 351
+        assert [h.returncode for h in helpers] == [0]
+
+    def test_no_helper_starts_and_this_process_parses_the_tail(self, tmp_path, monkeypatch):
+        path = write_long_log(tmp_path / "p.jsonl", 400)
+        want = outcome(_load_rows, path)
+        force_split(monkeypatch, error=OSError("no such interpreter"))
+        stops = spy_reads(monkeypatch)
+        assert outcome(load_predictions, path) == want
+        assert len(stops) == 2 and stops[1] is None
+
+    @pytest.mark.parametrize("code", [
+        "import sys; sys.exit(3)",
+        "import sys; sys.stdout.buffer.write((5).to_bytes(8, sys.byteorder)"
+        " + (-1).to_bytes(8, sys.byteorder, signed=True) + b'short')",
+    ], ids=["exit-3", "short-output"])
+    def test_a_failed_helper_leaves_the_tail_to_this_process(self, tmp_path, monkeypatch,
+                                                             code):
+        path = write_long_log(tmp_path / "p.jsonl", 400)
+        want = outcome(_load_rows, path)
+        helpers = force_split(monkeypatch, command=[sys.executable, "-c", code])
+        stops = spy_reads(monkeypatch)
+        assert outcome(load_predictions, path) == want
+        assert len(stops) == 2 and stops[1] is None
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+
+    def test_an_interrupt_kills_the_helper(self, tmp_path, monkeypatch):
+        path = write_long_log(tmp_path / "p.jsonl", 400)
+        helpers = force_split(monkeypatch)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(data_module, "_read_blocks", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_predictions(path, LogFormat.JSONL)
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+
+    @pytest.mark.parametrize("case", ["one CPU", "CSV", "below the threshold"])
+    def test_no_helper_starts(self, tmp_path, monkeypatch, case):
+        path = write_long_log(tmp_path / "p.jsonl", 400)
+        fmt = LogFormat.JSONL
+        if case == "CSV":
+            fmt = LogFormat.CSV
+            save_predictions(load_predictions(path, LogFormat.JSONL), tmp_path / "p.csv", fmt)
+            path = tmp_path / "p.csv"
+        force_split(monkeypatch, error=AssertionError("a helper started"))
+        if case == "one CPU":
+            monkeypatch.setattr(data_module, "_cpus", lambda: 1)
+        elif case == "below the threshold":
+            monkeypatch.setattr(data_module, "_SPLIT_BYTES", path.stat().st_size + 1)
+        assert load_predictions(path, fmt).labels.shape == (400,)
+
+    def test_the_cpu_count_is_positive(self):
+        assert data_module._cpus() >= 1
+
+
+LEAK_PROBE = """
+import sys
+from calibkit import LogFormat, data
+data._SPLIT_BYTES = 0
+data._cpus = lambda: 2
+preds = data.load_predictions(sys.argv[1], LogFormat.JSONL)
+assert preds.labels.shape == (400,)
+"""
+
+
+def test_the_split_route_leaves_no_pipe_or_process_behind(tmp_path):
+    """Under -X dev -W error an unclosed pipe or an unreaped helper is a
+    ResourceWarning on stderr."""
+    path = write_long_log(tmp_path / "p.jsonl", 400)
+    src = Path(data_module.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", LEAK_PROBE, str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])})
+    assert (done.returncode, done.stderr) == (0, "")

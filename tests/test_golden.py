@@ -7,10 +7,13 @@ say that its artifacts change, and why.
 """
 
 import hashlib
+import subprocess
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from calibkit import data
 from calibkit.cli import run_cli
 
 
@@ -128,6 +131,24 @@ def test_log_artifacts_match_pinned_digests(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)  # the manifest records the log's path as given
     write_log(tmp_path / "predictions.jsonl", swap_keys)
     assert run_cli(LOG_COMMANDS[command]) == 0
+    got = _digests(tmp_path / "out")
+    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == LOG_DIGESTS[command]
+
+
+@pytest.mark.parametrize("swap_keys", [False, True], ids=["canonical", "keys-swapped"])
+@pytest.mark.parametrize("command", sorted(LOG_COMMANDS))
+def test_split_log_artifacts_match_pinned_digests(tmp_path, monkeypatch, capsys,
+                                                  command, swap_keys):
+    """A helper process parses the log's tail (canonical log), or is killed
+    when the head is not canonical (keys swapped); the bytes stay the same."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(data, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    write_log(tmp_path / "predictions.jsonl", swap_keys)
+    with mock.patch.object(subprocess, "Popen", wraps=subprocess.Popen) as popen:
+        assert run_cli(LOG_COMMANDS[command]) == 0
+    assert popen.call_count == 1
     got = _digests(tmp_path / "out")
     got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == LOG_DIGESTS[command]
