@@ -332,7 +332,7 @@ def _cmd_compare(args) -> int:
                 accuracy=_metric(test, "accuracy"),
             )
             test_ece = _metric(test, "ece")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise DomainError(
                 f"report.json under {run_dir} is not a calibkit report "
                 f"({type(exc).__name__}: {exc})"

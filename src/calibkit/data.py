@@ -21,9 +21,11 @@ A JSONL log takes one of two routes, with bit-identical results:
   ``json.dumps`` write it: ``{"probs": [N, ..., N], "label": L}`` with K
   non-negative JSON numbers and a LF ending. The punctuation is then cut
   out and all numbers of the block parse in one C call, correctly
-  rounded like ``float``. This route exists for speed: a ``json.loads``
-  per row, with its dict, list and Python floats, costs about three
-  times as much as parsing the decimals.
+  rounded like ``float``, into a (rows, K+1) float64 array, the label
+  last. This route exists for speed: a ``json.loads`` per row, with its
+  dict, list and Python floats, costs about three times as much as
+  parsing the decimals. A log of at least 32 MiB on two or more CPUs has
+  its tail read by a helper process; see :mod:`calibkit._bulk`.
 * The per-line route (:func:`_load_rows`) parses each line with
   ``json.loads`` and reads any JSON the format allows. It takes over at
   the first line of the first block that is not canonical (other
@@ -36,22 +38,10 @@ A JSONL log takes one of two routes, with bit-identical results:
   report from the same final check on the same arrays, so the bulk
   route raises it itself.
 
-A JSONL log of at least ``_SPLIT_BYTES`` (32 MiB), read by a process that
-may run on two or more CPUs, is cut in two at the first line start at or
-after its byte midpoint. Before this process parses the head, it starts
-one helper interpreter (``python _bulk.py PATH CUT K``, which imports
-numpy but not calibkit) that parses the tail with the same block parser
-and, once it is done, writes the tail's rows up to its first block that
-is not canonical to a pipe: a row count, that block's offset, and the
-raw float64 probabilities and int64 labels (no pickle). The head's rows
-go first, then the tail's; the per-line route resumes at that block if
-there is one, and one final check runs over all rows from line 1, so
-arrays, errors and line numbers are those of a single process. A helper
-that cannot start, exits non-zero or writes short output leaves the tail
-to this process. The helper is waited for on every path, and killed
-first unless it has finished, so no process outlives
-:func:`load_predictions`. CSV logs, smaller logs and single-CPU runs use
-this process alone.
+Either way the rows are copied once into contiguous (n, K) probabilities
+and n labels, which one final check runs over from line 1, so arrays,
+errors and line numbers do not depend on the route. CSV logs take the
+per-line route alone.
 """
 
 from __future__ import annotations
@@ -60,19 +50,14 @@ import csv
 import io
 import json
 import math
-import os
-import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _bulk
-from ._bulk import BLOCK_BYTES as _BLOCK_BYTES
-from ._bulk import canonical_row as _canonical_row
 from .errors import (
     DomainError,
     LabelRangeError,
@@ -83,15 +68,9 @@ from .errors import (
 )
 from .metrics import Predictions
 
-if TYPE_CHECKING:
-    import subprocess
-
 # Cluster centers sit at simplex vertices scaled by this factor; together
 # with the per-class standard deviation it sets the attainable accuracy.
 CLUSTER_SPREAD = 2.0
-# A JSONL log this long is parsed in two processes: about twice the size
-# at which two processes start to beat one on two CPUs.
-_SPLIT_BYTES = 32 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,15 +259,37 @@ def _iter_csv_rows(path: Path):
             yield line_no, probs, label
 
 
-def _checked_arrays(flat: array, labels: list[int], k: int,
-                    first_line: int) -> tuple[np.ndarray, np.ndarray]:
-    """Renormalized probs and labels; raises on the first faulty row, whose
-    faults are checked in the order non-finite, negative, sum, label."""
-    p = np.frombuffer(flat, dtype=np.float64).reshape(-1, k)
+
+
+def _arrays(blocks: list[np.ndarray], k: int, flat: array | bytes = b"",
+            labels: list[int] | tuple[()] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous (n, K) probabilities and n labels: the rows of the bulk
+    route's blocks, then the per-line route's flat float64 rows and their
+    labels. The blocks are emptied, each freed once copied. The labels are
+    int64, or Python ints if one is past int64: such a label is outside
+    [0, K), so the final check raises before they go further."""
+    bulk = end = sum(map(len, blocks))
+    p = np.empty((bulk + len(labels), k))
+    y = np.empty(len(p), np.int64)
+    while blocks:
+        values = blocks.pop()
+        p[end - len(values):end], y[end - len(values):end] = values[:, :k], values[:, k]
+        end -= len(values)
+    p[bulk:] = np.frombuffer(flat).reshape(-1, k)
     try:
-        y = np.array(labels, dtype=np.int64)
-    except OverflowError:  # a label past int64 is out of range anyway
-        y = np.array([min(max(v, -1), k) for v in labels], dtype=np.int64)
+        y[bulk:] = labels
+    except OverflowError:
+        y = y.astype(object)
+        y[bulk:] = labels
+    return p, y
+
+
+def _checked_arrays(p: np.ndarray, y: np.ndarray,
+                    first_line: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probs, renormalized in place, and the labels; raises on the
+    first faulty row, whose faults are checked in the order non-finite,
+    negative, sum, label."""
+    k = p.shape[1]
     non_finite = ~np.isfinite(p).all(axis=1)
     negative = (p < 0).any(axis=1)
     with np.errstate(over="ignore"):  # finite entries can sum past the float max
@@ -307,177 +308,43 @@ def _checked_arrays(flat: array, labels: list[int], k: int,
             raise ProbabilitySumError(
                 f"probabilities sum to {float(totals[row]):.6f}, outside 1 +/- 1e-3", line
             )
-        raise LabelRangeError(f"label {labels[row]} outside [0, {k})", line)
-    return p / totals[:, None], y
+        raise LabelRangeError(f"label {y[row]} outside [0, {k})", line)
+    p /= totals[:, None]
+    return p, y
 
 
-class _Rows:
-    """The rows of a log parsed so far: flat float64 probabilities, their
-    labels, K and the line of the first row. K is None until a row is in."""
-
-    def __init__(self):
-        # One flat typed buffer: a list of per-row lists would take about twice the memory.
-        self.flat, self.labels = array("d"), []
-        self.k = self.first_line = None
-
-    def add(self, probs, labels: np.ndarray, k: int) -> None:
-        """Append canonical JSONL rows: their probabilities as raw float64
-        bytes and their int64 labels."""
-        if self.k is None:
-            self.k, self.first_line = k, 1
-        self.flat.frombytes(probs)
-        self.labels.extend(labels.tolist())
-
-    def checked(self) -> tuple[np.ndarray, np.ndarray]:
-        return _checked_arrays(self.flat, self.labels, self.k, self.first_line)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _split_point(fh) -> int | None:
-    """The byte offset where a helper takes over a log's tail: the first
-    line start at or after the midpoint. None when the log is below
-    _SPLIT_BYTES, when this process may use only one CPU or does not
-    know its interpreter, or when no line starts after the midpoint."""
-    size = os.fstat(fh.fileno()).st_size
-    if size < _SPLIT_BYTES or _cpus() < 2 or not sys.executable:
-        return None
-    fh.seek(size // 2 - 1)  # the first line holds K >= 2 commas, so size >= 3
-    fh.readline()
-    cut = fh.tell()
-    fh.seek(0)
-    return cut if cut < size else None
-
-
-def _start_helper(path: Path, cut: int, k: int) -> subprocess.Popen | None:
-    """A second interpreter that parses the log from ``cut`` (see
-    :mod:`calibkit._bulk`), or None if it cannot start."""
-    import subprocess  # here, not at the top: it adds 4 ms to every command's start
-
-    try:
-        return subprocess.Popen([sys.executable, _bulk.__file__, os.fspath(path), str(cut), str(k)],
-                                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                                stderr=subprocess.DEVNULL,
-                                # The helper makes no BLAS call, and an idle OpenBLAS
-                                # worker thread spins for about 0.13 s of CPU.
-                                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
-    except OSError:
-        return None
-
-
-def _helper_rows(helper: subprocess.Popen, k: int):
-    """The helper's (probability bytes, labels, offset where the per-line
-    route resumes or None), or None when it failed: it exited non-zero
-    or its output is short."""
-    out, _ = helper.communicate()
-    if helper.returncode != 0 or len(out) < 16:
-        return None
-    n, resume = np.frombuffer(out, np.int64, count=2).tolist()
-    if n < 0 or resume < -1 or len(out) != 16 + n * (k + 1) * 8:
-        return None
-    probs_end = 16 + n * k * 8
-    return (memoryview(out)[16:probs_end], np.frombuffer(out, np.int64, offset=probs_end),
-            None if resume == -1 else resume)
-
-
-def _reap(helper: subprocess.Popen) -> None:
-    """Kill the helper unless it has been waited for, wait for it and
-    close its pipe."""
-    helper.kill()
-    helper.wait()
-    helper.stdout.close()
-
-
-def _read_blocks(fh, stop: int | None, k: int, pattern, rows: _Rows) -> int | None:
-    """Add the canonical rows from the file's position up to ``stop`` (None
-    for the end) to ``rows``; the offset of the first block that is not
-    canonical, where nothing of it was added, or None."""
-    for offset, lines in _bulk.blocks(fh, stop, _BLOCK_BYTES):
-        values = _bulk.parse_block(lines, k, pattern)
-        if values is None:
-            return offset
-        rows.add(values[:, :k].tobytes(), values[:, k].astype(np.int64), k)
-    return None
-
-
-def _read_canonical_jsonl(path: Path) -> tuple[_Rows, int | None]:
-    """The bulk route: the rows of a JSONL log up to its first block that
-    is not canonical, and that block's byte offset, where the per-line
-    route resumes (None when every row was read).
-
-    A log of at least _SPLIT_BYTES on two or more CPUs is cut in two
-    (see the module docstring); a helper parses the tail while this
-    process parses the head, and it never outlives this call."""
-    rows = _Rows()
-    with path.open("rb") as fh:
-        # K-1 commas between the numbers, one before "label"
-        k = fh.readline().count(b",")
-        if k < 2:
-            return rows, 0
-        fh.seek(0)
-        pattern = _canonical_row(k)
-        cut = _split_point(fh)
-        if cut is None:
-            return rows, _read_blocks(fh, None, k, pattern, rows)
-        # Started first, so that it overlaps the head's parse.
-        helper = _start_helper(path, cut, k)
-        try:
-            resume = _read_blocks(fh, cut, k, pattern, rows)
-            if resume is not None:
-                return rows, resume
-            tail = None if helper is None else _helper_rows(helper, k)
-            if tail is None:  # no helper, or it failed: parse the tail here
-                return rows, _read_blocks(fh, None, k, pattern, rows)
-            probs, labels, resume = tail
-            rows.add(probs, labels, k)
-            return rows, resume
-        finally:
-            if helper is not None:
-                _reap(helper)
-
-
-def _load_canonical_jsonl(path: Path) -> Predictions | None:
-    """The bulk route alone: the predictions of a JSONL log whose rows are
-    all canonical, else None. A value fault raises the error that the
-    per-line route would raise for it."""
-    rows, resume = _read_canonical_jsonl(path)
-    return Predictions(*rows.checked()) if resume is None else None
-
-
-def _load_rows(path: Path, fmt: LogFormat, rows: _Rows | None = None,
+def _load_rows(path: Path, fmt: LogFormat, blocks: list[np.ndarray] | tuple[()] = (),
                offset: int = 0) -> Predictions:
     """The per-line route: any JSONL or CSV log, one parsed line at a time.
     A JSONL log may resume at byte ``offset``, a line start, after the
-    bulk route has read the ``rows`` before it."""
-    if rows is None:
-        rows = _Rows()
+    bulk route has read the ``blocks`` before it."""
+    # One flat typed buffer: a list of per-row lists would take about twice the memory.
+    flat, labels = array("d"), []
+    k = first_line = None
+    if blocks:
+        k, first_line = blocks[0].shape[1] - 1, 1
     if fmt is LogFormat.JSONL:
-        parsed = _iter_jsonl_rows(path, offset, len(rows.labels) + 1)
+        parsed = _iter_jsonl_rows(path, offset, sum(map(len, blocks)) + 1)
     else:
         parsed = _iter_csv_rows(path)
     try:
         for line_no, probs, label in parsed:
-            if rows.k is None:
+            if k is None:
                 if len(probs) < 2:
                     raise MalformedRowError(f"need at least 2 probabilities, got {len(probs)}", line_no)
-                rows.k, rows.first_line = len(probs), line_no
-            elif len(probs) != rows.k:
-                raise MalformedRowError(f"expected {rows.k} probabilities, got {len(probs)}", line_no)
-            rows.flat.extend(probs)
-            rows.labels.append(label)
+                k, first_line = len(probs), line_no
+            elif len(probs) != k:
+                raise MalformedRowError(f"expected {k} probabilities, got {len(probs)}", line_no)
+            flat.extend(probs)
+            labels.append(label)
     except MalformedRowError:
-        if rows.k is not None:
+        if k is not None:
             # A value fault on an earlier line is reported before this one.
-            rows.checked()
+            _checked_arrays(*_arrays(blocks, k, flat, labels), first_line)
         raise
-    if rows.k is None:
+    if k is None:
         raise PredictionLogError("file contains no prediction rows")
-    return Predictions(*rows.checked())
+    return Predictions(*_checked_arrays(*_arrays(blocks, k, flat, labels), first_line))
 
 
 def load_predictions(path, fmt: LogFormat) -> Predictions:
@@ -495,7 +362,7 @@ def load_predictions(path, fmt: LogFormat) -> Predictions:
         raise MissingLogError(f"prediction log not found: {path}")
     if fmt is LogFormat.CSV:
         return _load_rows(path, fmt)
-    rows, resume = _read_canonical_jsonl(path)
-    if resume is None:
-        return Predictions(*rows.checked())
-    return _load_rows(path, fmt, rows, resume)
+    blocks, resume = _bulk.read_log(path)
+    if resume is not None:
+        return _load_rows(path, fmt, blocks, resume)
+    return Predictions(*_checked_arrays(*_arrays(blocks, blocks[0].shape[1] - 1), 1))

@@ -46,6 +46,13 @@ class Predictions:
         p = np.array(probs, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
             raise DomainError(f"expected an (n, K) matrix, n >= 1, K >= 2, got shape {p.shape}")
+        y = np.asarray(labels)
+        if y.dtype.kind == "f":
+            # Checked before the int cast, which would truncate 0.7 to class 0.
+            if not (y == np.trunc(y)).all():  # NaN fails this too
+                raise DomainError("labels must be whole numbers")
+            if (np.abs(y) >= 2.0**63).any():  # the cast of such a float, or inf, is undefined
+                raise DomainError("labels outside the int64 range")
         try:
             y = np.array(labels, dtype=np.int64)
         except OverflowError:

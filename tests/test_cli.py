@@ -207,6 +207,14 @@ class TestCompareAndDiagram:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(run_dir) in err
 
+    def test_compare_report_nested_too_deep(self, tmp_path, capsys):
+        run_dir = tmp_path / "deep"
+        run_dir.mkdir()
+        (run_dir / "report.json").write_text("[" * 200_000)
+        assert run_cli(["compare", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is not a calibkit report" in err
+
     @pytest.mark.parametrize("field, value", [
         ("macro_precision", "x"),
         ("macro_precision", None),

@@ -21,6 +21,7 @@ from calibkit import (
     MalformedRowError,
     MissingLogError,
     PredictionLogError,
+    Predictions,
     ProbabilitySumError,
     SplitSpec,
     gen_synthetic,
@@ -28,8 +29,9 @@ from calibkit import (
     save_predictions,
     split,
 )
+from calibkit import _bulk
 from calibkit import data as data_module
-from calibkit.data import _BLOCK_BYTES, _canonical_row, _load_canonical_jsonl, _load_rows
+from calibkit.data import _load_rows
 
 # measured once with the nearest-centroid oracle below (seed 0) and frozen
 FROZEN_CENTROID_ACC = 0.654
@@ -346,6 +348,14 @@ def outcome(load, path):
     return preds.probs.tobytes(), preds.labels.tobytes()
 
 
+def _load_canonical_jsonl(path):
+    """The bulk route alone: the predictions of a JSONL log whose rows are
+    all canonical, else None."""
+    if _bulk.read_log(path)[1] is not None:
+        return None
+    return load_predictions(path, LogFormat.JSONL)
+
+
 def assert_routes_agree(path):
     assert outcome(load_predictions, path) == outcome(_load_rows, path)
 
@@ -431,16 +441,16 @@ def test_bulk_route_equals_the_per_line_route(tmp_path_factory, perturbation, lo
     path = tmp_path_factory.mktemp("bulk") / "p.jsonl"
     path.write_bytes(body)
     # Small blocks cut the log at every line end or every few.
-    block = data.draw(st.sampled_from([_BLOCK_BYTES, 64, 300]))
-    with mock.patch("calibkit.data._BLOCK_BYTES", block):
+    block = data.draw(st.sampled_from([_bulk.BLOCK_BYTES, 64, 300]))
+    with mock.patch("calibkit._bulk.BLOCK_BYTES", block):
         assert_routes_agree(path)
         if perturbation in ("none", "no final LF"):
             assert _load_canonical_jsonl(path) is not None
         # A helper parses the tail of any log with a line after its midpoint.
         # One draw in three, since each helper costs an interpreter start.
         if data.draw(st.sampled_from([False, False, True]), label="split"):
-            with mock.patch("calibkit.data._SPLIT_BYTES", 0), \
-                    mock.patch("calibkit.data._cpus", lambda: 2):
+            with mock.patch("calibkit._bulk.SPLIT_BYTES", 0), \
+                    mock.patch("calibkit._bulk.cpus", lambda: 2):
                 assert outcome(load_predictions, path) == outcome(_load_rows, path)
 
 
@@ -459,7 +469,7 @@ def write_long_log(path, n, k=10, seed=0):
 class TestBulkRoute:
     def test_a_log_longer_than_one_block(self, tmp_path):
         path = write_long_log(tmp_path / "p.jsonl", 6000)
-        assert path.stat().st_size > 1.2 * _BLOCK_BYTES
+        assert path.stat().st_size > 1.2 * _bulk.BLOCK_BYTES
         assert _load_canonical_jsonl(path) is not None
         assert_routes_agree(path)
 
@@ -500,10 +510,27 @@ class TestBulkRoute:
         assert outcome(load_predictions, path) == want
 
     @pytest.mark.parametrize("k", [2, 10])
+    def test_a_saved_log_is_read_whole(self, tmp_path, k):
+        """Every row that save_predictions writes is canonical, exponents
+        and one-hot rows included, so a train -> eval round trip never
+        falls back to the per-line route."""
+        rng = np.random.default_rng(k)
+        probs = rng.dirichlet(np.ones(k), 200)
+        probs[:len(TINY), 0] = TINY
+        probs[-1] = np.eye(k)[0]
+        labels = rng.integers(0, k, 200)
+        path = tmp_path / "p.jsonl"
+        save_predictions(Predictions(probs, labels), path, LogFormat.JSONL)
+        assert b"e-05, " in path.read_bytes()
+        blocks, resume = _bulk.read_log(path)
+        assert resume is None
+        assert np.concatenate(blocks).tobytes() == np.column_stack([probs, labels]).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 10])
     def test_the_row_regex_compiles_before_python_3_11(self, k):
         """pyproject.toml allows Python 3.10, whose re has no atomic groups
         and no possessive quantifiers."""
-        assert re.search(rb"\(\?>|[*+?}]\+", _canonical_row(k).pattern) is None
+        assert re.search(rb"\(\?>|[*+?}]\+", _bulk.canonical_row(k).pattern) is None
 
 
 def with_line(path, at, line):
@@ -544,7 +571,7 @@ class TestResume:
         the fault that stops it or the end."""
         path = with_line(write_long_log(tmp_path / "p.jsonl", 6000), 5800, fault)
         want = outcome(_load_rows, path)
-        monkeypatch.setattr(data_module, "_BLOCK_BYTES", 4096)  # about 17 lines
+        monkeypatch.setattr(_bulk, "BLOCK_BYTES", 4096)  # about 17 lines
         calls = count_json_loads(monkeypatch)
         assert outcome(load_predictions, path) == want
         assert 0 <= len(calls) - (last_line - 5800) < 20
@@ -569,8 +596,8 @@ def force_split(monkeypatch, command=None, error=None):
     """Split every log with a line after its midpoint, and return the list
     of helpers started. ``command`` replaces the helper's program and
     ``error`` is raised in place of starting it."""
-    monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(data_module, "_cpus", lambda: 2)
+    monkeypatch.setattr(_bulk, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(_bulk, "cpus", lambda: 2)
     started = []
     popen = subprocess.Popen
 
@@ -588,13 +615,13 @@ def force_split(monkeypatch, command=None, error=None):
 def spy_reads(monkeypatch):
     """The ``stop`` of each in-process run of the block parser."""
     stops = []
-    read = data_module._read_blocks
+    read = _bulk.read
 
     def spy(fh, stop, *args):
         stops.append(stop)
         return read(fh, stop, *args)
 
-    monkeypatch.setattr(data_module, "_read_blocks", spy)
+    monkeypatch.setattr(_bulk, "read", spy)
     return stops
 
 
@@ -676,7 +703,7 @@ class TestSplitRoute:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(data_module, "_read_blocks", interrupted)
+        monkeypatch.setattr(_bulk, "read", interrupted)
         with pytest.raises(KeyboardInterrupt):
             load_predictions(path, LogFormat.JSONL)
         assert len(helpers) == 1 and helpers[0].returncode is not None
@@ -691,20 +718,20 @@ class TestSplitRoute:
             path = tmp_path / "p.csv"
         force_split(monkeypatch, error=AssertionError("a helper started"))
         if case == "one CPU":
-            monkeypatch.setattr(data_module, "_cpus", lambda: 1)
+            monkeypatch.setattr(_bulk, "cpus", lambda: 1)
         elif case == "below the threshold":
-            monkeypatch.setattr(data_module, "_SPLIT_BYTES", path.stat().st_size + 1)
+            monkeypatch.setattr(_bulk, "SPLIT_BYTES", path.stat().st_size + 1)
         assert load_predictions(path, fmt).labels.shape == (400,)
 
     def test_the_cpu_count_is_positive(self):
-        assert data_module._cpus() >= 1
+        assert _bulk.cpus() >= 1
 
 
 LEAK_PROBE = """
 import sys
-from calibkit import LogFormat, data
-data._SPLIT_BYTES = 0
-data._cpus = lambda: 2
+from calibkit import LogFormat, _bulk, data
+_bulk.SPLIT_BYTES = 0
+_bulk.cpus = lambda: 2
 preds = data.load_predictions(sys.argv[1], LogFormat.JSONL)
 assert preds.labels.shape == (400,)
 """

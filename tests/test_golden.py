@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from calibkit import data
+from calibkit import _bulk
 from calibkit.cli import run_cli
 
 
@@ -143,8 +143,8 @@ def test_split_log_artifacts_match_pinned_digests(tmp_path, monkeypatch, capsys,
     """A helper process parses the log's tail (canonical log), or is killed
     when the head is not canonical (keys swapped); the bytes stay the same."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(data, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    monkeypatch.setattr(_bulk, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(_bulk, "cpus", lambda: 2)
     write_log(tmp_path / "predictions.jsonl", swap_keys)
     with mock.patch.object(subprocess, "Popen", wraps=subprocess.Popen) as popen:
         assert run_cli(LOG_COMMANDS[command]) == 0

@@ -61,6 +61,12 @@ class TestPredictions:
             preds([[1.0]], [0])                # K < 2
         with pytest.raises(DomainError):
             preds([[0.5, 0.5]], [2])           # label out of range
+        with pytest.raises(DomainError, match="whole numbers"):
+            preds([[0.5, 0.5], [0.5, 0.5]], [0.7, 1.2])  # fractional labels
+        with pytest.raises(DomainError, match="whole numbers"):
+            preds([[0.5, 0.5]], [float("nan")])
+        with pytest.raises(DomainError, match="int64 range"):
+            preds([[0.5, 0.5]], np.array([np.inf]))
 
 
 class TestReliabilityTable:
