@@ -19,7 +19,6 @@ from .losses import (
     LossValue,
     auto_gamma,
     curriculum_weight,
-    nll_loss,
     soft_ece,
     soft_ece_grad,
     soft_indicator,
@@ -50,7 +49,6 @@ from .training import (
     evaluate,
     forward,
     init_model,
-    sgd_step,
     train,
     train_arms,
 )
@@ -90,10 +88,8 @@ __all__ = [
     "gen_synthetic",
     "init_model",
     "load_predictions",
-    "nll_loss",
     "render_reliability_svg",
     "save_predictions",
-    "sgd_step",
     "soft_ece",
     "soft_ece_grad",
     "soft_indicator",

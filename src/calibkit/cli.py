@@ -383,6 +383,9 @@ def run_cli(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the array's size and shape
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -11,10 +11,11 @@ the interval ends. Two choices of q ship: the max probability (the
 confidence itself, the default) and the true-class probability, which
 tracks the hard correctness indicator more closely.
 
-The joint objective adds the calibration term to the NLL with a weight
-that ramps linearly from 0 (at epoch ``s_e``) to ``gamma_e`` (at epoch
-``total_epochs``); :mod:`calibkit.training` maps each training mode and
-epoch to the weight it uses.
+The joint objective (:func:`weighted_loss`) adds the calibration term to
+the NLL with a weight that ramps linearly from 0 (at epoch ``s_e``) to
+``gamma_e`` (at epoch ``total_epochs``); :mod:`calibkit.training` maps
+each training mode and epoch to the weight it uses. It holds the one NLL:
+at weight 0 it is the plain NLL and its gradient.
 """
 
 from __future__ import annotations
@@ -116,17 +117,6 @@ def _as_batch(probs, labels):
     if y.min() < 0 or y.max() >= p.shape[1]:
         raise DomainError(f"labels outside [0, {p.shape[1]})")
     return p, np.ascontiguousarray(y, dtype=np.int64)
-
-
-def nll_loss(probs, labels):
-    """Mean negative log-likelihood and its gradient with respect to logits.
-
-    Probabilities are clamped below by ``EPSILON`` inside the log. The
-    gradient is the usual (softmax - onehot) / batch_size.
-    """
-    p, y = _as_batch(probs, labels)
-    loss, grad = _nll(p[None], y)
-    return float(loss[0]), grad[0]
 
 
 def _nll(p: np.ndarray, y: np.ndarray):

@@ -9,10 +9,8 @@ time is recorded but excluded from report comparisons.
 Runs that share seed, data and schedule and differ only in their
 calibration weight train together in one loop over a leading model axis
 (:func:`train_arms`); :func:`train` is a stack of one. Each run in a
-stack is bit-identical to training it alone. The loop updates the stacked
-parameters in place (``w -= lr * g``, the arithmetic of :func:`sgd_step`)
-and does not call :func:`sgd_step`, whose per-call checks stay for
-callers that step a model themselves.
+stack is bit-identical to training it alone. The one SGD update is the
+loop's in-place ``w -= lr * g`` on the stacked parameters.
 """
 
 from __future__ import annotations
@@ -258,31 +256,6 @@ def backward(
     return value, _arm(grads, 0)
 
 
-def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
-    """One plain SGD update: p - lr * g for every parameter array."""
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise DomainError(
-            f"learning_rate must be finite and positive, got {learning_rate}"
-        )
-    if params.has_hidden != grads.has_hidden:
-        raise DomainError("params and grads disagree on model shape")
-    for name in ("w_out", "b_out", "w_hidden", "b_hidden"):
-        p, g = getattr(params, name), getattr(grads, name)
-        if p is not None and p.shape != g.shape:
-            raise DomainError(f"{name}: shape {g.shape} does not match {p.shape}")
-    if not params.has_hidden:
-        return ModelParams(
-            w_out=params.w_out - learning_rate * grads.w_out,
-            b_out=params.b_out - learning_rate * grads.b_out,
-        )
-    return ModelParams(
-        w_out=params.w_out - learning_rate * grads.w_out,
-        b_out=params.b_out - learning_rate * grads.b_out,
-        w_hidden=params.w_hidden - learning_rate * grads.w_hidden,
-        b_hidden=params.b_hidden - learning_rate * grads.b_hidden,
-    )
-
-
 def evaluate(
     preds: Predictions, n_bins: int
 ) -> tuple[ClassificationReport, float, ReliabilityTable]:
@@ -348,9 +321,8 @@ def train_arms(
     run's mode, the epoch, the batch, the weight and the learning rate.
     Every run's ``EpochStats.seconds`` is the wall time of the shared epoch.
 
-    Each step updates the stacked parameters in place rather than through
-    :func:`sgd_step`, and the epoch's per-batch losses are summed once, at
-    the epoch's end, in batch order.
+    Each step updates the stacked parameters in place, and the epoch's
+    per-batch losses are summed once, at the epoch's end, in batch order.
     """
     configs = list(configs)
     _check_arms(train_set, val_set, configs)

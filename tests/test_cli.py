@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from calibkit import __version__
+from calibkit import __version__, cli
 from calibkit.cli import run_cli
 
 ARTIFACTS = ("run.json", "report.json", "reliability.svg", "predictions.jsonl")
@@ -173,6 +173,21 @@ class TestTrain:
         del args[args.index("--seed"):args.index("--seed") + 2]
         assert run_cli(args) == 1
         assert "seed must be non-negative, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 14.9 GiB for an array"),
+         "error: out of memory: Unable to allocate 14.9 GiB for an array\n"),
+        (MemoryError(), "error: out of memory: allocation failed\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_fails_cleanly(self, tmp_path, monkeypatch, capsys, exc, message):
+        """An allocation too large for the machine, such as the 14.9 GiB
+        validation forward of --classes 100000 --per-class 1, exits 1."""
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_train", exhausted)
+        assert run_cli(train_args(tmp_path / "run")) == 1
+        assert capsys.readouterr().err == message
 
 
 class TestCompareAndDiagram:

@@ -533,6 +533,40 @@ class TestBulkRoute:
         assert re.search(rb"\(\?>|[*+?}]\+", _bulk.canonical_row(k).pattern) is None
 
 
+# -- The probability-sum tolerance at its boundary ---------------------------
+
+
+def two_row_log(path, route, row):
+    """A log whose second row is ``row`` (label 0), written for ``route``;
+    returns that row's line number."""
+    tokens = [[repr(x).encode() for x in r] for r in ([0.25, 0.75], row)]
+    if route == "csv":
+        path.write_bytes(b"p0,p1,label\n" + b"".join(b"%s,0\n" % b",".join(t) for t in tokens))
+        return 3
+    if route == "bulk":
+        path.write_bytes(b"".join(canonical_line(t, b"0") for t in tokens))
+    else:  # the per-line route: swapped keys are not canonical
+        path.write_bytes(b"".join(b'{"label": 0, "probs": [%s]}\n' % b", ".join(t)
+                                  for t in tokens))
+    assert (_bulk.read_log(path)[1] is None) == (route == "bulk")
+    return 2
+
+
+@pytest.mark.parametrize("route", ["bulk", "per-line", "csv"])
+@pytest.mark.parametrize("off", [0.999e-3, -0.999e-3, 1.001e-3, -1.001e-3])
+def test_rows_within_1e_3_of_sum_1_load_renormalized_and_the_rest_fail(tmp_path, route, off):
+    row = [0.5 + off, 0.5]
+    path = tmp_path / ("p.csv" if route == "csv" else "p.jsonl")
+    line = two_row_log(path, route, row)
+    fmt = LogFormat.CSV if route == "csv" else LogFormat.JSONL
+    if abs(off) > 1e-3:
+        with pytest.raises(ProbabilitySumError, match=f"line {line}"):
+            load_predictions(path, fmt)
+        return
+    row = np.array(row)
+    np.testing.assert_array_equal(load_predictions(path, fmt).probs[1], row / row.sum())
+
+
 def with_line(path, at, line):
     lines = path.read_bytes().splitlines(keepends=True)
     lines[at] = line

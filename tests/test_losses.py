@@ -13,7 +13,6 @@ from calibkit import (
     LossConfig,
     auto_gamma,
     curriculum_weight,
-    nll_loss,
     soft_ece,
     soft_ece_grad,
     soft_indicator,
@@ -74,25 +73,35 @@ class TestSoftmax:
 
 
 class TestNll:
+    """The NLL term of weighted_loss, at weight 0 the whole objective."""
+
+    CFG = LossConfig(gamma_e=1.0)
+
+    def nll(self, z, labels):
+        return weighted_loss(z, labels, 0.0, self.CFG)
+
     def test_confident_correct_is_near_zero(self):
-        loss, _ = nll_loss(np.array([[1.0 - 1e-9, 1e-9]]), np.array([0]))
-        assert loss == pytest.approx(0.0, abs=1e-8)
+        assert self.nll(np.log([[1.0 - 1e-9, 1e-9]]), [0]).nll == pytest.approx(0.0, abs=1e-8)
 
     def test_uniform_four_way_is_ln4(self):
-        loss, _ = nll_loss(np.full((3, 4), 0.25), np.array([0, 1, 3]))
-        assert loss == pytest.approx(math.log(4), abs=1e-12)
+        v = self.nll(np.zeros((3, 4)), [0, 1, 3])
+        assert v.nll == pytest.approx(math.log(4), abs=1e-12)
 
     def test_gradient_is_softmax_minus_onehot_over_n(self):
-        _, grad = nll_loss(softmax(np.zeros((1, 2))), np.array([0]))
-        np.testing.assert_allclose(grad, [[-0.5, 0.5]], atol=1e-12)
+        v = self.nll(np.zeros((2, 2)), [0, 1])
+        np.testing.assert_allclose(v.grad_logits, [[-0.25, 0.25], [0.25, -0.25]], atol=1e-12)
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(DomainError):
-            nll_loss(np.full((1, 2), 0.5), np.array([2]))
+        with pytest.raises(DomainError, match=r"labels outside \[0, 2\)"):
+            self.nll(np.zeros((1, 2)), np.array([2]))
         for bad in ([1.9], [0.7], [np.nan]):
             with pytest.raises(DomainError, match="labels must be whole numbers"):
-                nll_loss(np.full((1, 2), 0.5), bad)
-        assert nll_loss(np.full((1, 2), 0.5), [1.0])[0] == math.log(2)  # a whole float is a class
+                self.nll(np.zeros((1, 2)), bad)
+        assert self.nll(np.zeros((1, 2)), [1.0]).nll == math.log(2)  # a whole float is a class
+
+    def test_probability_clamp_is_one_in_a_million(self):
+        # The label's probability, about 4e-18, is clamped up to 1e-6 in the log.
+        assert self.nll([[0.0, -40.0]], [1]).nll == -math.log(1e-6)
 
 
 class TestSoftIndicator:
@@ -242,6 +251,14 @@ class TestCurriculumWeight:
             curriculum_weight(-1, cfg)
 
 
+def numpy_nll(z, labels):
+    """The mean NLL and its logit gradient, written out in plain NumPy."""
+    p = softmax(z)
+    n = len(labels)
+    onehot = np.eye(p.shape[1])[labels]
+    return -np.log(np.maximum(p[np.arange(n), labels], 1e-6)).sum() / n, (p - onehot) / n
+
+
 class TestCombinedLoss:
     """The joint objective at epoch e: weighted_loss with the ramped weight."""
 
@@ -266,7 +283,7 @@ class TestCombinedLoss:
         labels = np.array([0, 1])
         cfg = LossConfig(gamma_e=2.0, s_e=0, total_epochs=10)
         v = self.at_epoch(z, labels, 0, cfg)
-        nll, nll_grad = nll_loss(softmax(z), labels)
+        nll, nll_grad = numpy_nll(z, labels)
         assert v.total == nll
         np.testing.assert_array_equal(v.grad_logits, nll_grad)
 
@@ -277,7 +294,7 @@ class TestCombinedLoss:
             z = rng.normal(0, 2, (8, 4))
             labels = rng.integers(0, 4, 8)
             v = self.at_epoch(z, labels, 5, cfg)
-            nll, nll_grad = nll_loss(softmax(z), labels)
+            nll, nll_grad = numpy_nll(z, labels)
             assert v.total == nll
             np.testing.assert_array_equal(v.grad_logits, nll_grad)
 

@@ -68,6 +68,15 @@ class TestPredictions:
         with pytest.raises(DomainError, match="int64 range"):
             preds([[0.5, 0.5]], np.array([np.inf]))
 
+    @pytest.mark.parametrize("off", [0.999e-9, -0.999e-9, 1.001e-9, -1.001e-9])
+    def test_rows_within_1e_9_of_sum_1_are_kept_as_given_and_the_rest_fail(self, off):
+        row = [0.5 + off, 0.5]
+        if abs(off) > 1e-9:
+            with pytest.raises(DomainError, match="expected 1 within 1e-9"):
+                preds([row], [0])
+        else:
+            assert preds([row], [0]).probs.tolist() == [row]
+
 
 class TestReliabilityTable:
     def test_two_correct_records_m2(self):

@@ -12,15 +12,18 @@ import numpy as np
 import pytest
 
 from calibkit import (
+    Dataset,
     IndicatorVariant,
     LossConfig,
     SplitSpec,
     TrainConfig,
     TrainingMode,
     curriculum_weight,
+    forward,
     gen_synthetic,
     init_model,
     kernels,
+    softmax,
     split,
     train_arms,
 )
@@ -156,7 +159,10 @@ ALL_MODES = list(TrainingMode)
 def test_train_arms_equals_the_frozen_reference(short_batch_split, hidden_dim,
                                                 variant, modes, s_e):
     tr, va = short_batch_split
-    configs = configs_for(modes, hidden_dim, variant, s_e)
+    assert_train_arms_equals_the_reference(tr, va, configs_for(modes, hidden_dim, variant, s_e))
+
+
+def assert_train_arms_equals_the_reference(tr, va, configs):
     for (params, report), cfg in zip(train_arms(tr, va, configs), configs):
         want_params, want_epochs = reference_train(tr, cfg)
         for name, want in want_params.items():
@@ -165,6 +171,19 @@ def test_train_arms_equals_the_frozen_reference(short_batch_split, hidden_dim,
         got_epochs = [(e.nll, e.soft_ece, e.total, e.train_accuracy)
                       for e in report.epochs]
         assert got_epochs == want_epochs
+
+
+def test_train_arms_equals_the_frozen_reference_where_the_nll_clamp_binds(short_batch_split):
+    """Features scaled 100-fold give a linear model extreme logits from its
+    first step, so label probabilities fall below EPS and the NLL's clamp
+    sets the epoch losses: the trainer's clamp must be the frozen one."""
+    tr, va = (Dataset(ds.features * 100.0, ds.labels, ds.k) for ds in short_batch_split)
+    configs = configs_for(ALL_MODES, 0, IndicatorVariant.MAX_PROB, 2)
+    first_batch = np.random.default_rng([configs[0].seed, 0]).permutation(tr.n)[:8]
+    init = init_model(tr.dim, 0, tr.k, configs[0].seed)
+    p = softmax(forward(init, tr.features[first_batch]))
+    assert p[np.arange(8), tr.labels[first_batch]].min() < EPS
+    assert_train_arms_equals_the_reference(tr, va, configs)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 32, 4), (2, 2048, 10), (4, 7, 3)])

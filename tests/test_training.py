@@ -22,7 +22,6 @@ from calibkit import (
     gen_synthetic,
     init_model,
     kernels,
-    sgd_step,
     softmax,
     split,
     train,
@@ -205,33 +204,11 @@ class TestBackward:
                                        atol=1e-12)
 
 
-class TestSgdStep:
-    def test_single_scalar_update(self):
-        p = ModelParams(w_out=np.array([[1.0]]), b_out=np.array([0.0]))
-        g = ModelParams(w_out=np.array([[0.5]]), b_out=np.array([0.0]))
-        out = sgd_step(p, g, 0.001)
-        assert out.w_out[0, 0] == 0.9995
-
-    def test_zero_gradients_leave_params_alone(self):
-        p = init_model(4, 3, 3, 0)
-        zero = ModelParams(w_out=np.zeros_like(p.w_out), b_out=np.zeros_like(p.b_out),
-                           w_hidden=np.zeros_like(p.w_hidden),
-                           b_hidden=np.zeros_like(p.b_hidden))
-        out = sgd_step(p, zero, 0.5)
-        for name in ("w_out", "b_out", "w_hidden", "b_hidden"):
-            np.testing.assert_array_equal(getattr(out, name), getattr(p, name))
-
-    def test_rejects_mismatches(self):
-        p = init_model(4, 0, 3, 0)
-        with pytest.raises(DomainError):
-            sgd_step(p, ModelParams(w_out=np.zeros((5, 3)), b_out=np.zeros(3)), 0.1)
-        with pytest.raises(DomainError):
-            sgd_step(p, init_model(4, 2, 3, 0), 0.1)
-        with pytest.raises(DomainError):
-            sgd_step(p, p, 0.0)
-        for bad in (float("nan"), float("inf")):
+class TestTrainConfig:
+    def test_rejects_bad_learning_rate(self):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError, match="learning_rate must be finite and positive"):
-                sgd_step(p, p, bad)
+                small_config(learning_rate=bad)
 
 
 @pytest.fixture(scope="module")
