@@ -14,13 +14,14 @@ as a program,
 
     python _bulk.py PATH START K
 
-which reads the K-class canonical rows of PATH from byte START (a line
-start) with the same block loop. It imports only the standard library
-and numpy, not the calibkit package, so that it starts fast. It keeps
-its blocks in memory and writes them to stdout once, at the end, all raw
-in native byte order: the int64 row count n, the int64 offset of its
-first block that is not canonical (-1 when every line parsed), then the
-n x (K+1) float64 values of its blocks, the label last in each row.
+which runs :func:`serve`: it reads the K-class canonical rows of PATH
+from byte START (a line start) with the same block loop. It imports only
+the standard library and numpy, not the calibkit package, so that it
+starts fast. It keeps its blocks in memory and writes them to stdout
+once, at the end, all raw in native byte order: the int64 row count n,
+the int64 offset of its first block that is not canonical (-1 when every
+line parsed), then the n x (K+1) float64 values of its blocks, the label
+last in each row.
 Writing only at the end keeps the helper from blocking on a full pipe
 while this process is still busy with the head. A helper that cannot
 start, exits non-zero or writes output of the wrong length leaves the
@@ -174,12 +175,18 @@ def read_log(path) -> tuple[list[np.ndarray], int | None]:
                 helper.stdout.close()
 
 
-if __name__ == "__main__":
-    with open(sys.argv[1], "rb") as log:
-        log.seek(int(sys.argv[2]))
-        parts, resume = read(log, None, int(sys.argv[3]))
-    out = sys.stdout.buffer
+def serve(path, start: int, k: int, out) -> None:
+    """The helper program's work: write the K-class canonical rows of the
+    log at ``path`` from byte ``start`` (a line start) to the binary stream
+    ``out``, in the wire format of the module docstring."""
+    with open(path, "rb") as log:
+        log.seek(start)
+        parts, resume = read(log, None, k)
     out.write(np.array([sum(map(len, parts)), -1 if resume is None else resume], np.int64).tobytes())
     for values in parts:
         out.write(values)
     out.flush()
+
+
+if __name__ == "__main__":
+    serve(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.stdout.buffer)

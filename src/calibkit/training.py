@@ -11,11 +11,23 @@ calibration weight train together in one loop over a leading model axis
 (:func:`train_arms`); :func:`train` is a stack of one. Each run in a
 stack is bit-identical to training it alone. The one SGD update is the
 loop's in-place ``w -= lr * g`` on the stacked parameters.
+
+This is the one module that calls BLAS, and :func:`train_arms`,
+:func:`forward` and :func:`backward` run it on one thread: OpenBLAS's
+one-thread path rounds the stacked matmuls differently in the last bit
+from its threaded path, and on wide batches a second thread buys little
+wall time for much more CPU. So the artifacts do not depend on the CPU count, and they are
+bit-identical for one numpy and BLAS build. The caller's thread count is
+given back on every return, exceptions included. A BLAS other than
+OpenBLAS is left as it is, and is not pinned.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,6 +55,69 @@ from .metrics import (
     classification_report,
     ece,
 )
+
+# The thread-count entry points of the OpenBLAS that numpy loaded, tried in
+# order: numpy's own wheels (scipy-openblas), then a system OpenBLAS built
+# with 64-bit or with 32-bit integers.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the loaded OpenBLAS, or
+    None when numpy uses another BLAS. Looked up on first use, so that
+    importing calibkit never loads a library."""
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        from numpy._core import _multiarray_umath
+    else:  # touching numpy.core warns on numpy 2
+        from numpy.core import _multiarray_umath
+    try:
+        # dlsym on numpy's extension module also searches the libraries it links
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREADS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+# The thread count is one per process, shared by every Python thread: the
+# first pinned call to start saves the caller's count and the last to end
+# gives it back.
+_pin_lock = threading.Lock()
+_pin = {"calls": 0, "saved": 0}
+
+
+def _one_blas_thread(func):
+    """``func`` run with the loaded OpenBLAS on one thread (see the module
+    docstring); the caller's thread count is restored on every path."""
+    @functools.wraps(func)
+    def pinned(*args, **kwargs):
+        threads = _openblas_threads()
+        if threads is None:
+            return func(*args, **kwargs)
+        get, set_ = threads
+        with _pin_lock:
+            if _pin["calls"] == 0:
+                _pin["saved"] = get()
+                set_(1)
+            _pin["calls"] += 1
+        try:
+            return func(*args, **kwargs)
+        finally:
+            with _pin_lock:
+                _pin["calls"] -= 1
+                if _pin["calls"] == 0:
+                    set_(_pin["saved"])
+    return pinned
 
 
 class TrainingMode(Enum):
@@ -221,6 +296,7 @@ def _grads_stacked(params: ModelParams, features, hidden, dlogits) -> ModelParam
     )
 
 
+@_one_blas_thread
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Logits of shape (n, K)."""
     _check_features(params, features)
@@ -235,6 +311,7 @@ def _mode_weight(mode: TrainingMode, epoch: int, loss_cfg: LossConfig) -> float:
     return loss_cfg.gamma_e
 
 
+@_one_blas_thread
 def backward(
     params: ModelParams,
     features: np.ndarray,
@@ -303,6 +380,7 @@ def _check_finite(logits, configs, weights, where: str) -> None:
     )
 
 
+@_one_blas_thread
 def train_arms(
     train_set: Dataset, val_set: Dataset, configs
 ) -> list[tuple[ModelParams, TrainReport]]:

@@ -1,5 +1,6 @@
 """Synthetic data generation, splitting, and prediction-log parsing."""
 
+import io
 import math
 import os
 import re
@@ -387,6 +388,29 @@ LINE_PERTURBATIONS = {
 }
 
 
+class InProcessHelper:
+    """A stand-in for the helper's Popen that runs the helper program's
+    code, ``_bulk.serve``, in this process when its output is read: the
+    same rows and wire format without an interpreter start. Real helper
+    processes stay in TestSplitRoute and the leak probe."""
+
+    def __init__(self, args, **kwargs):
+        assert args[:2] == [sys.executable, _bulk.__file__]
+        self.args, self.returncode, self.stdout = args[2:], None, io.BytesIO()
+
+    def communicate(self):
+        path, start, k = self.args
+        _bulk.serve(path, int(start), int(k), self.stdout)
+        self.returncode = 0
+        return self.stdout.getvalue(), None
+
+    def kill(self):
+        pass
+
+    def wait(self):
+        return self.returncode
+
+
 @st.composite
 def canonical_logs(draw):
     """(k, rows): 1 to 20 canonical rows of K = 2..12 probabilities, each
@@ -447,11 +471,11 @@ def test_bulk_route_equals_the_per_line_route(tmp_path_factory, perturbation, lo
         if perturbation in ("none", "no final LF"):
             assert _load_canonical_jsonl(path) is not None
         # A helper parses the tail of any log with a line after its midpoint.
-        # One draw in three, since each helper costs an interpreter start.
-        if data.draw(st.sampled_from([False, False, True]), label="split"):
-            with mock.patch("calibkit._bulk.SPLIT_BYTES", 0), \
-                    mock.patch("calibkit._bulk.cpus", lambda: 2):
-                assert outcome(load_predictions, path) == outcome(_load_rows, path)
+        # It runs here, so no example pays for an interpreter start.
+        with mock.patch("calibkit._bulk.SPLIT_BYTES", 0), \
+                mock.patch("calibkit._bulk.cpus", lambda: 2), \
+                mock.patch("subprocess.Popen", InProcessHelper):
+            assert outcome(load_predictions, path) == outcome(_load_rows, path)
 
 
 def write_long_log(path, n, k=10, seed=0):

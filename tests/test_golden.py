@@ -1,9 +1,10 @@
 """Cross-commit byte identity: the CLI's artifacts pinned by sha256.
 
-The digests hold for one numpy build and one BLAS; elsewhere the float
-results may legitimately differ in the last bit, so the tests skip and
-name the platform they found. They change only in a change whose notes
-say that its artifacts change, and why.
+The digests hold for one numpy build and one BLAS, on any CPU count:
+training runs OpenBLAS on one thread whatever the caller's setting. On
+another build the float results may legitimately differ in the last bit,
+so the tests skip and name the platform they found. The digests change
+only in a change whose notes say that its artifacts change, and why.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from calibkit import _bulk
+from calibkit import _bulk, training
 from calibkit.cli import run_cli
 
 
@@ -49,9 +50,9 @@ WIDE_ARGS = ["train", "--mode", "curriculum", "--classes", "10", "--per-class", 
              "--split", "0.5,0.1,0.4", "--seed", "1"]
 
 WIDE_DIGESTS = {
-    "predictions.jsonl": "2bf855a1ec67430b859f6eb217fa6d897916b391d87299fd69d936cd11e507c2",
+    "predictions.jsonl": "a263646467e0d49c68d26ddcca24d4acd7d4cefad17926819e08254ac35fc7be",
     "reliability.svg": "d1dbe6160d32429f03f3a79b80a64a554c6945e75fbb21ce3cfae583bbce6347",
-    "report.json": "c3d4ae36c6db5f145271d0c3c69c474495081822757706b1692373ad2e661afd",
+    "report.json": "cc87a80aa831fc4d544c5fe6295b2756d9843ed77efd03c85556691ec68d37b8",
     "run.json": "8a04e2c5c030060d5d379bb89c4d9ce86c8bfd2447d42dc7607857d4a612a103",
 }
 
@@ -99,6 +100,24 @@ def test_artifacts_match_pinned_digests(tmp_path, capsys, args, expected):
     assert run_cli([*args, "--out", str(out)]) == 0
     capsys.readouterr()
     assert _digests(out) == expected
+
+
+def test_wide_artifacts_hold_whatever_the_callers_blas_threads(tmp_path, capsys):
+    """One OpenBLAS thread and three round the wide batches' matmuls
+    differently, yet both callers get the pinned bytes back, and their
+    own thread count after."""
+    get, set_threads = training._openblas_threads()
+    before = get()
+    try:
+        for threads in (1, 3):
+            set_threads(threads)
+            out = tmp_path / f"threads{threads}"
+            assert run_cli([*WIDE_ARGS, "--out", str(out)]) == 0
+            assert get() == threads
+            assert _digests(out) == WIDE_DIGESTS, f"caller on {threads} threads"
+    finally:
+        set_threads(before)
+    capsys.readouterr()
 
 
 def write_log(path, swap_keys):

@@ -1,6 +1,8 @@
 """Model init, forward/backward passes, SGD, and the training loop."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from calibkit import (
     train_arms,
     weighted_loss,
 )
+from calibkit import training
 
 
 def predict(params, ds):
@@ -367,6 +370,92 @@ class TestTrainArms:
         assert str(err.value) == (
             "fixed run diverged at epoch 0, batch 1: non-finite logits "
             "(ece weight 0.25, learning rate 1e+300)")
+
+
+@pytest.fixture
+def blas_threads():
+    """The loaded OpenBLAS's (get, set) thread-count functions; the
+    caller's count is restored after the test."""
+    threads = training._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, set_threads = threads
+    before = get()
+    yield get, set_threads
+    set_threads(before)
+
+
+def spy_blas_threads(monkeypatch, get):
+    """The OpenBLAS thread count at each stacked forward pass."""
+    seen = []
+    forward_stacked = training._forward_stacked
+
+    def spy(*args):
+        seen.append(get())
+        return forward_stacked(*args)
+
+    monkeypatch.setattr(training, "_forward_stacked", spy)
+    return seen
+
+
+class TestOneBlasThread:
+    def test_without_openblas_entry_points_train_is_unchanged(self, tiny_splits,
+                                                              monkeypatch):
+        """With no entry point found the pin does nothing; a small run takes
+        OpenBLAS's one-thread path either way, so it is bit-identical."""
+        tr, va, _ = tiny_splits
+        cfg = small_config(TrainingMode.CALIBRATED_CURRICULUM, hidden_dim=8)
+        pinned_params, pinned_report = train(tr, va, cfg)
+        monkeypatch.setattr(training, "_OPENBLAS_THREADS", (("no_get", "no_set"),))
+        training._openblas_threads.cache_clear()
+        try:
+            assert training._openblas_threads() is None
+            params, report = train(tr, va, cfg)
+        finally:
+            training._openblas_threads.cache_clear()
+        for name in ("w_out", "b_out", "w_hidden", "b_hidden"):
+            np.testing.assert_array_equal(getattr(params, name),
+                                          getattr(pinned_params, name))
+        assert report == pinned_report
+
+    def test_a_diverging_run_gives_the_caller_its_thread_count_back(self, blas_threads,
+                                                                    monkeypatch):
+        get, set_threads = blas_threads
+        set_threads(3)
+        seen = spy_blas_threads(monkeypatch, get)
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((40, 3)) * 1e200, np.arange(40) % 2, 2)
+        with pytest.raises(DomainError, match="diverged"):
+            train(ds, ds, small_config(TrainingMode.CALIBRATED_FIXED, learning_rate=1e300))
+        assert seen and set(seen) == {1}
+        assert get() == 3
+
+    def test_concurrent_calls_share_one_pin(self, blas_threads, monkeypatch):
+        """Calls from more Python threads than CPUs all run BLAS on one
+        thread, and the caller's count is back once the last returns."""
+        get, set_threads = blas_threads
+        set_threads(3)
+        seen = spy_blas_threads(monkeypatch, get)
+        params = init_model(4, 6, 3, 0)
+        x = np.ones((5, 4))
+
+        def work():
+            for _ in range(200):
+                forward(params, x)
+
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(seen) == 8 * 200 and set(seen) == {1}
+        assert get() == 3
 
 
 class TestEvaluate:
