@@ -21,12 +21,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
 from .data import Dataset, LogFormat, SplitSpec, gen_synthetic, load_predictions, split
 from .errors import DomainError
+from .kernels import bin_edges
 from .losses import IndicatorVariant, LossConfig, auto_gamma, softmax
 from .metrics import ClassificationReport, Predictions, build_reliability_table
 from .reporting import comparison_table, render_reliability_svg, save_predictions
@@ -139,40 +140,31 @@ def _prepare_splits(args, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     return split(dataset, SplitSpec(ratios=args.split, seed=seed))
 
 
-def _resolve_gamma(args, seed: int, train_set: Dataset, val_set: Dataset):
-    """Explicit --gamma passes through; 'auto' measures epoch-0 losses of a
-    one-epoch vanilla pass and balances them."""
-    if args.gamma is not None:
-        return float(args.gamma), "explicit"
-    warm = TrainConfig(
-        epochs=1,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        seed=seed,
-        loss=LossConfig(gamma_e=1.0, s_e=0, total_epochs=1, m_train=args.bins_train,
-                        indicator_variant=_VARIANTS[args.variant]),
-        mode=TrainingMode.VANILLA_NLL,
-        hidden_dim=args.hidden_dim,
-        eval_bins=args.bins_eval,
-    )
-    _, report = train(train_set, val_set, warm)
-    first = report.epochs[0]
-    return auto_gamma(first.nll, first.soft_ece), "auto"
-
-
-def _train_config(args, seed: int, mode: TrainingMode, gamma_value: float) -> TrainConfig:
-    return TrainConfig(
+def _resolve_config(args, seed: int, mode: TrainingMode, train_set: Dataset,
+                    val_set: Dataset) -> tuple[TrainConfig, str]:
+    """The run's config, checked before any training, and its gamma's
+    source: 'auto' sets gamma_e to balance the epoch-0 losses of a
+    one-epoch vanilla pass of the same run."""
+    config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.lr,
         seed=seed,
-        loss=LossConfig(gamma_e=gamma_value, s_e=args.se, total_epochs=args.epochs,
+        loss=LossConfig(gamma_e=1.0 if args.gamma is None else args.gamma,
+                        s_e=args.se, total_epochs=args.epochs,
                         m_train=args.bins_train,
                         indicator_variant=_VARIANTS[args.variant]),
         mode=mode,
         hidden_dim=args.hidden_dim,
         eval_bins=args.bins_eval,
     )
+    if args.gamma is not None:
+        return config, "explicit"
+    warm = replace(config, epochs=1, mode=TrainingMode.VANILLA_NLL,
+                   loss=replace(config.loss, s_e=0, total_epochs=1))
+    first = train(train_set, val_set, warm)[1].epochs[0]
+    loss = replace(config.loss, gamma_e=auto_gamma(first.nll, first.soft_ece))
+    return replace(config, loss=loss), "auto"
 
 
 def _manifest(args, *, command: str, seed: int, mode: str | None,
@@ -224,7 +216,7 @@ def _write_arm(args, trained, test_set: Dataset, out_dir: Path,
                manifest: dict) -> tuple[ClassificationReport, float]:
     """Write one trained arm's artifact set, return (test report, test ECE)."""
     params, report = trained
-    preds = Predictions.from_probs(softmax(forward(params, test_set.features)), test_set.labels)
+    preds = Predictions(softmax(forward(params, test_set.features)), test_set.labels)
     test_report, test_ece, table = evaluate(preds, args.bins_eval)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "run.json", manifest)
@@ -247,12 +239,13 @@ def _write_arm(args, trained, test_set: Dataset, out_dir: Path,
 def _cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
     train_set, val_set, test_set = _prepare_splits(args, seed)
-    gamma_value, gamma_source = _resolve_gamma(args, seed, train_set, val_set)
+    config, gamma_source = _resolve_config(args, seed, TrainingMode.from_name(args.mode),
+                                           train_set, val_set)
+    gamma_value = config.loss.gamma_e
     out_dir = Path(args.out)
     manifest = _manifest(args, command="train", seed=seed, mode=args.mode,
                          gamma_value=gamma_value, gamma_source=gamma_source)
-    trained = train(train_set, val_set,
-                    _train_config(args, seed, TrainingMode.from_name(args.mode), gamma_value))
+    trained = train(train_set, val_set, config)
     del train_set, val_set  # only the test split is needed from here on
     test_report, test_ece = _write_arm(args, trained, test_set, out_dir, manifest)
     print(f"mode: {args.mode}")
@@ -265,8 +258,7 @@ def _cmd_train(args) -> int:
 
 def _load_log(args) -> Predictions:
     """The log named by ``--predictions``; a bad ``--bins`` fails before the parse."""
-    if args.bins < 1:
-        raise DomainError(f"bin count must be >= 1, got {args.bins}")
+    bin_edges(args.bins)
     return load_predictions(args.predictions, LogFormat.from_name(args.format))
 
 
@@ -345,12 +337,12 @@ def _cmd_compare(args) -> int:
 def _cmd_experiment(args) -> int:
     seed = _resolve_seed(args.seed)
     train_set, val_set, test_set = _prepare_splits(args, seed)
-    gamma_value, gamma_source = _resolve_gamma(args, seed, train_set, val_set)
+    modes = list(TrainingMode)  # vanilla, curriculum, fixed
+    config, gamma_source = _resolve_config(args, seed, modes[0], train_set, val_set)
+    gamma_value = config.loss.gamma_e
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    modes = list(TrainingMode)  # vanilla, curriculum, fixed
-    arms = train_arms(train_set, val_set,
-                      [_train_config(args, seed, mode, gamma_value) for mode in modes])
+    arms = train_arms(train_set, val_set, [replace(config, mode=mode) for mode in modes])
     del train_set, val_set  # only the test split is needed from here on
     entries = []
     for mode, trained in zip(modes, arms):

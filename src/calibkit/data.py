@@ -66,7 +66,7 @@ from .errors import (
     PredictionLogError,
     ProbabilitySumError,
 )
-from .metrics import Predictions
+from .metrics import Predictions, _class_labels
 
 # Cluster centers sit at simplex vertices scaled by this factor; together
 # with the per-class standard deviation it sets the attainable accuracy.
@@ -75,19 +75,20 @@ CLUSTER_SPREAD = 2.0
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix (n, dim) with integer labels in [0, K)."""
+    """Feature matrix (n, dim), stored as float64, with one label per row.
+    Labels follow the one label rule of every boundary, integers or
+    whole-number floats in [0, K), and are stored as int64."""
 
     features: np.ndarray
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        if self.features.ndim != 2:
-            raise DomainError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise DomainError("labels must be one class index per feature row")
-        if self.n and (self.labels.min() < 0 or self.labels.max() >= self.k):
-            raise DomainError(f"labels outside [0, {self.k})")
+        features = np.asarray(self.features, dtype=np.float64)
+        if features.ndim != 2:
+            raise DomainError(f"features must be 2-D, got shape {features.shape}")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", _class_labels(self.labels, features.shape[0], self.k))
 
     @property
     def n(self) -> int:

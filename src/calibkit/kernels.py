@@ -17,12 +17,16 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
 # Probability clamp: keeps the indicator's tangent and the NLL's log finite.
 EPSILON = 1e-6
 
 
 def bin_edges(n_bins: int) -> np.ndarray:
-    """Interior bin edges k/M for k = 1..M-1, shared by every code path."""
+    """Interior bin edges k/M, k = 1..M-1: every path's bins and bin-count check."""
+    if n_bins < 1:
+        raise DomainError(f"bin count must be >= 1, got {n_bins}")
     return np.arange(1, n_bins) / float(n_bins)
 
 

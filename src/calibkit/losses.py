@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import EPSILON, bin_edges, row_offsets, soft_ece_backward
+from .metrics import _class_labels
 
 
 class IndicatorVariant(Enum):
@@ -108,15 +109,7 @@ def _as_batch(probs, labels):
         raise DomainError("probabilities must be finite")
     if p.min() < 0.0 or p.max() > 1.0:
         raise DomainError("probabilities outside [0, 1]")
-    y = np.asarray(labels)
-    if y.shape != (p.shape[0],):
-        raise DomainError("labels must be one class index per batch row")
-    # Checked before the integer cast, which would truncate 0.7 to class 0.
-    if y.dtype.kind == "f" and not (y == np.trunc(y)).all():
-        raise DomainError("labels must be whole numbers")
-    if y.min() < 0 or y.max() >= p.shape[1]:
-        raise DomainError(f"labels outside [0, {p.shape[1]})")
-    return p, np.ascontiguousarray(y, dtype=np.int64)
+    return p, _class_labels(labels, *p.shape)
 
 
 def _nll(p: np.ndarray, y: np.ndarray):
@@ -153,8 +146,6 @@ def soft_ece(probs, labels, n_bins: int,
     """Binned calibration error with the smoothed indicator in place of 0/1
     correctness; binning (by max probability) stays the hard one."""
     p, y = _as_batch(probs, labels)
-    if n_bins < 1:
-        raise DomainError(f"bin count must be >= 1, got {n_bins}")
     value, _ = soft_ece_backward(p, y, bin_edges(n_bins),
                                  variant is IndicatorVariant.TRUE_CLASS_PROB)
     return value
@@ -168,8 +159,6 @@ def soft_ece_grad(logits, labels, n_bins: int,
     value contributes sign(gap) with sign(0) = 0.
     """
     p, y = _as_batch(softmax(logits), labels)
-    if n_bins < 1:
-        raise DomainError(f"bin count must be >= 1, got {n_bins}")
     _, grad = soft_ece_backward(p, y, bin_edges(n_bins),
                                 variant is IndicatorVariant.TRUE_CLASS_PROB)
     return grad
@@ -219,6 +208,6 @@ def _joint_loss(p: np.ndarray, y: np.ndarray, weights: np.ndarray,
 
 def auto_gamma(nll_sample: float, soft_ece_sample: float) -> float:
     """Target weight that equalizes the magnitudes of two observed losses."""
-    if nll_sample <= 0 or soft_ece_sample <= 0:
-        raise DomainError("loss samples must both be positive")
+    if not (0 < nll_sample < math.inf and 0 < soft_ece_sample < math.inf):  # NaN fails too
+        raise DomainError("loss samples must both be finite and positive")
     return nll_sample / soft_ece_sample

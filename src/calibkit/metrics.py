@@ -21,13 +21,41 @@ from .errors import DomainError
 from .kernels import bin_edges, reliability_sums
 
 
+def _class_labels(labels, n: int, k: int) -> np.ndarray:
+    """``labels`` as n int64 class indices in [0, k): the one label rule.
+
+    Integer dtypes, Python ints and whole-number floats pass; fractional,
+    NaN and non-numeric labels (str, None, bool, complex, mixed object) do
+    not. The range is checked before the cast, so a label past int64 or an
+    infinite one cannot wrap into range."""
+    try:
+        y = np.asarray(labels)
+    except ValueError:  # ragged nesting
+        raise DomainError("labels must be one class index per row, got a ragged sequence") from None
+    if y.shape != (n,):
+        raise DomainError(f"labels must be one class index per row: {n} rows, shape {y.shape}")
+    if y.dtype.kind == "f":
+        if not (y == np.trunc(y)).all():  # NaN fails this too
+            raise DomainError("labels must be whole numbers")
+    # An object array of Python ints is what numpy makes of ints past uint64.
+    elif y.dtype.kind not in "iu" and not (
+            y.dtype.kind == "O" and all(type(v) is int for v in y.tolist())):
+        raise DomainError(f"labels must be integers or whole-number floats, got dtype {y.dtype}")
+    outside = (y < 0) | (y >= k)
+    if outside.any():
+        raise DomainError(f"labels outside [0, {k}): got {y[np.argmax(outside)]}")
+    return y.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Predictions:
     """An (n, K) probability matrix with one true label per row.
 
     ``predicted`` (first argmax) and ``confidence`` (the probability there)
-    are computed at construction. ``from_probs`` validates its input; the
-    plain constructor trusts float64 (n, K) rows and int64 labels.
+    are computed at construction. ``from_probs`` validates its input, the
+    labels by the one label rule: integers or whole-number floats in
+    [0, K), stored as int64. The plain constructor trusts float64 (n, K)
+    rows and int64 labels, such as a softmax and a ``Dataset``'s labels.
     """
 
     probs: np.ndarray
@@ -46,19 +74,6 @@ class Predictions:
         p = np.array(probs, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
             raise DomainError(f"expected an (n, K) matrix, n >= 1, K >= 2, got shape {p.shape}")
-        y = np.asarray(labels)
-        if y.dtype.kind == "f":
-            # Checked before the int cast, which would truncate 0.7 to class 0.
-            if not (y == np.trunc(y)).all():  # NaN fails this too
-                raise DomainError("labels must be whole numbers")
-            if (np.abs(y) >= 2.0**63).any():  # the cast of such a float, or inf, is undefined
-                raise DomainError("labels outside the int64 range")
-        try:
-            y = np.array(labels, dtype=np.int64)
-        except OverflowError:
-            raise DomainError("labels outside the int64 range") from None
-        if y.shape != (p.shape[0],):
-            raise DomainError("probs and labels disagree on sample count")
         if not np.all(np.isfinite(p)):
             raise DomainError("probs contain non-finite entries")
         if np.any(p < 0.0):
@@ -68,11 +83,7 @@ class Predictions:
         if off.any():
             total = float(totals[np.argmax(off)])
             raise DomainError(f"probs sum to {total!r}, expected 1 within 1e-9")
-        k = p.shape[1]
-        outside = (y < 0) | (y >= k)
-        if outside.any():
-            raise DomainError(f"true_class {int(y[np.argmax(outside)])} outside [0, {k})")
-        return cls(p, y)
+        return cls(p, _class_labels(labels, *p.shape))
 
 
 @dataclass(frozen=True)
@@ -97,8 +108,6 @@ class ReliabilityTable:
 
 def build_reliability_table(preds: Predictions, n_bins: int) -> ReliabilityTable:
     """Bin rows by confidence and aggregate per-bin accuracy and confidence."""
-    if n_bins < 1:
-        raise DomainError(f"bin count must be >= 1, got {n_bins}")
     correct = (preds.predicted == preds.labels).astype(np.float64)
     counts, acc_sums, conf_sums = reliability_sums(preds.confidence, correct, bin_edges(n_bins))
     bins = []

@@ -231,7 +231,8 @@ def init_model(input_dim: int, hidden_dim: int, k: int, seed: int) -> ModelParam
     )
 
 
-def _check_features(params: ModelParams, features: np.ndarray) -> None:
+def _check_features(params: ModelParams, features) -> np.ndarray:
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise DomainError(f"features must be 2-D, got shape {features.shape}")
     expected = params.w_hidden.shape[0] if params.has_hidden else params.w_out.shape[0]
@@ -239,6 +240,7 @@ def _check_features(params: ModelParams, features: np.ndarray) -> None:
         raise DomainError(
             f"features have {features.shape[1]} columns, model expects {expected}"
         )
+    return features
 
 
 def _stack(params: ModelParams) -> ModelParams:
@@ -299,7 +301,7 @@ def _grads_stacked(params: ModelParams, features, hidden, dlogits) -> ModelParam
 @_one_blas_thread
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Logits of shape (n, K)."""
-    _check_features(params, features)
+    features = _check_features(params, features)
     return _forward_stacked(_stack(params), features)[0][0]
 
 
@@ -324,7 +326,7 @@ def backward(
     The calibration weight is set by the mode: 0, the epoch ramp, or the
     constant gamma_E.
     """
-    _check_features(params, features)
+    features = _check_features(params, features)
     weight = _mode_weight(config.mode, epoch, config.loss)
     stacked = _stack(params)
     logits, hidden = _forward_stacked(stacked, features)
@@ -473,7 +475,7 @@ def train_arms(
                       f"on the validation set after epoch {first.epochs - 1}")
     results = []
     for s, cfg in enumerate(configs):
-        val_preds = Predictions.from_probs(softmax(val_logits[s]), val_set.labels)
+        val_preds = Predictions(softmax(val_logits[s]), val_set.labels)
         report, final_ece, table = evaluate(val_preds, cfg.eval_bins)
         results.append((_arm(params, s), TrainReport(
             epochs=tuple(stats[s]),

@@ -336,6 +336,22 @@ class TestUsage:
     def test_bad_split_ratios(self, capsys):
         assert run_cli(["train", "--split", "0.5,0.5", "--out", "x"]) == 2
 
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--epochs", "0", "epochs"),
+        ("--se", "60", "s_e"),
+    ])
+    def test_bad_schedule_fails_before_the_warm_pass(self, tmp_path, capsys, monkeypatch,
+                                                     command, flag, value, field):
+        def no_training(*args):
+            raise AssertionError("training started before the config was checked")
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(cli, "train_arms", no_training)
+        args = train_args(tmp_path / "run", "--gamma", "auto", flag, value)
+        args[0] = command
+        assert run_cli(args) == 1
+        assert field in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--gamma", "nan", "gamma_e"),
         ("--gamma", "inf", "gamma_e"),

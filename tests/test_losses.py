@@ -346,6 +346,13 @@ class TestAutoGamma:
         with pytest.raises(DomainError):
             auto_gamma(1.0, -2.0)
 
+    @pytest.mark.parametrize("nll, soft", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan")), (1.0, float("inf")),
+    ])
+    def test_rejects_non_finite_samples(self, nll, soft):
+        with pytest.raises(DomainError, match="loss samples must both be finite and positive"):
+            auto_gamma(nll, soft)
+
 
 class TestLossConfigValidation:
     def test_rejects_bad_fields(self):

@@ -207,6 +207,33 @@ class TestBackward:
                                        atol=1e-12)
 
 
+class TestArrayLikeFeatures:
+    """Nested lists enter as float64 arrays; float64 arrays enter uncopied."""
+
+    X = [[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]
+
+    def test_dataset(self):
+        ds = Dataset(self.X, [0, 1, 1], 2)
+        assert ds.features.dtype == np.float64
+        np.testing.assert_array_equal(ds.features, self.X)
+        x = np.array(self.X)
+        assert Dataset(x, [0, 1, 1], 2).features is x
+
+    def test_forward(self):
+        p = init_model(2, 3, 2, 0)
+        np.testing.assert_array_equal(forward(p, self.X), forward(p, np.array(self.X)))
+
+    def test_backward(self):
+        p = init_model(2, 3, 2, 0)
+        cfg = small_config(TrainingMode.CALIBRATED_FIXED, hidden_dim=3)
+        value, grads = backward(p, self.X, [0, 1, 1], epoch=0, config=cfg)
+        want_value, want_grads = backward(p, np.array(self.X), np.array([0, 1, 1]),
+                                          epoch=0, config=cfg)
+        assert value.total == want_value.total
+        for name in ("w_out", "b_out", "w_hidden", "b_hidden"):
+            np.testing.assert_array_equal(getattr(grads, name), getattr(want_grads, name))
+
+
 class TestTrainConfig:
     def test_rejects_bad_learning_rate(self):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
