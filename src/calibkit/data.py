@@ -66,7 +66,8 @@ from .errors import (
     PredictionLogError,
     ProbabilitySumError,
 )
-from .metrics import Predictions, _class_labels
+from .errors import _class_labels, _count, _float_array
+from .metrics import Predictions
 
 # Cluster centers sit at simplex vertices scaled by this factor; together
 # with the per-class standard deviation it sets the attainable accuracy.
@@ -75,20 +76,18 @@ CLUSTER_SPREAD = 2.0
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix (n, dim), stored as float64, with one label per row.
-    Labels follow the one label rule of every boundary, integers or
-    whole-number floats in [0, K), and are stored as int64."""
+    """Non-empty (n, dim) features, one label per row, and K >= 2 classes,
+    held by the rules of :mod:`calibkit.errors`: finite float64 features,
+    int64 labels in [0, K) and an int K."""
 
     features: np.ndarray
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        if features.ndim != 2:
-            raise DomainError(f"features must be 2-D, got shape {features.shape}")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", _class_labels(self.labels, features.shape[0], self.k))
+        object.__setattr__(self, "k", _count(self.k, "k", 2))
+        object.__setattr__(self, "features", _float_array(self.features, "features", (1, 1)))
+        object.__setattr__(self, "labels", _class_labels(self.labels, self.n, self.k))
 
     @property
     def n(self) -> int:
@@ -111,8 +110,7 @@ class SplitSpec:
             raise DomainError(f"need three finite positive ratios, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise DomainError(f"ratios must sum to 1 within 1e-9, got {sum(self.ratios)}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
 
 def gen_synthetic(k: int, n_per_class: int, dim: int, overlap: float, seed: int) -> Dataset:
@@ -124,17 +122,12 @@ def gen_synthetic(k: int, n_per_class: int, dim: int, overlap: float, seed: int)
     to seeded random directions of the same norm. Fully deterministic in
     ``seed``.
     """
-    if k < 2:
-        raise DomainError(f"need at least 2 classes, got {k}")
-    if n_per_class < 1:
-        raise DomainError(f"need at least 1 sample per class, got {n_per_class}")
-    if dim < 2:
-        raise DomainError(f"need at least 2 feature dimensions, got {dim}")
+    k = _count(k, "k", 2)
+    n_per_class = _count(n_per_class, "n_per_class", 1)
+    dim = _count(dim, "dim", 2)
     if not (math.isfinite(overlap) and overlap >= 0):
         raise DomainError(f"overlap must be finite and non-negative, got {overlap}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     means = np.zeros((k, dim))
     if dim >= k:
         means[np.arange(k), np.arange(k)] = CLUSTER_SPREAD

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _count
 
 # Probability clamp: keeps the indicator's tangent and the NLL's log finite.
 EPSILON = 1e-6
@@ -25,8 +25,7 @@ EPSILON = 1e-6
 
 def bin_edges(n_bins: int) -> np.ndarray:
     """Interior bin edges k/M, k = 1..M-1: every path's bins and bin-count check."""
-    if n_bins < 1:
-        raise DomainError(f"bin count must be >= 1, got {n_bins}")
+    n_bins = _count(n_bins, "bin count", 1)
     return np.arange(1, n_bins) / float(n_bins)
 
 

@@ -15,7 +15,9 @@ The joint objective (:func:`weighted_loss`) adds the calibration term to
 the NLL with a weight that ramps linearly from 0 (at epoch ``s_e``) to
 ``gamma_e`` (at epoch ``total_epochs``); :mod:`calibkit.training` maps
 each training mode and epoch to the weight it uses. It holds the one NLL:
-at weight 0 it is the plain NLL and its gradient.
+at weight 0 it is the plain NLL and its gradient. Logits follow the array
+rule of :mod:`calibkit.errors` and probabilities are checked as in
+``Predictions.from_probs``; calibkit's own softmax output is not rechecked.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _class_labels, _count, _float_array
 from .kernels import EPSILON, bin_edges, row_offsets, soft_ece_backward
-from .metrics import _class_labels
+from .metrics import Predictions
 
 
 class IndicatorVariant(Enum):
@@ -60,14 +62,12 @@ class LossConfig:
             raise DomainError(
                 f"gamma_e must be finite and non-negative, got {self.gamma_e}"
             )
-        if self.total_epochs < 1:
-            raise DomainError(f"total_epochs must be >= 1, got {self.total_epochs}")
-        if not 0 <= self.s_e < self.total_epochs:
+        for name, minimum in (("total_epochs", 1), ("s_e", 0), ("m_train", 1)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
+        if self.s_e >= self.total_epochs:
             raise DomainError(
                 f"s_e must satisfy 0 <= s_e < total_epochs, got {self.s_e}"
             )
-        if self.m_train < 1:
-            raise DomainError(f"m_train must be >= 1, got {self.m_train}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +87,9 @@ class LossValue:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.shape[-1] < 2:
+    z = _float_array(logits, "logits")
+    if z.ndim == 0 or z.shape[-1] < 2:
         raise DomainError(f"softmax needs K >= 2 classes, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise DomainError("softmax input contains non-finite entries")
     return _softmax(z, z.max(axis=-1, keepdims=True))
 
 
@@ -99,17 +97,6 @@ def _softmax(z: np.ndarray, z_max: np.ndarray) -> np.ndarray:
     """Softmax of finite logits given their row maxima (..., 1)."""
     e = np.exp(z - z_max)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _as_batch(probs, labels):
-    p = np.ascontiguousarray(probs, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] == 0:
-        raise DomainError(f"expected a non-empty (n, K) batch, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise DomainError("probabilities must be finite")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise DomainError("probabilities outside [0, 1]")
-    return p, _class_labels(labels, *p.shape)
 
 
 def _nll(p: np.ndarray, y: np.ndarray):
@@ -145,8 +132,8 @@ def soft_ece(probs, labels, n_bins: int,
              variant: IndicatorVariant = IndicatorVariant.MAX_PROB) -> float:
     """Binned calibration error with the smoothed indicator in place of 0/1
     correctness; binning (by max probability) stays the hard one."""
-    p, y = _as_batch(probs, labels)
-    value, _ = soft_ece_backward(p, y, bin_edges(n_bins),
+    preds = Predictions.from_probs(probs, labels)
+    value, _ = soft_ece_backward(preds.probs, preds.labels, bin_edges(n_bins),
                                  variant is IndicatorVariant.TRUE_CLASS_PROB)
     return value
 
@@ -158,15 +145,16 @@ def soft_ece_grad(logits, labels, n_bins: int,
     Bin membership is treated as fixed at its forward value; the absolute
     value contributes sign(gap) with sign(0) = 0.
     """
-    p, y = _as_batch(softmax(logits), labels)
-    _, grad = soft_ece_backward(p, y, bin_edges(n_bins),
+    p = softmax(_float_array(logits, "logits", (1, 2)))
+    _, grad = soft_ece_backward(p, _class_labels(labels, *p.shape), bin_edges(n_bins),
                                 variant is IndicatorVariant.TRUE_CLASS_PROB)
     return grad
 
 
 def curriculum_weight(c_e: int, config: LossConfig) -> float:
     """Linear ramp ((c_e - s_e) / (N - s_e)) * gamma_e, zero before s_e."""
-    if c_e < 0 or c_e > config.total_epochs:
+    c_e = _count(c_e, "epoch", 0)
+    if c_e > config.total_epochs:
         raise DomainError(
             f"epoch {c_e} outside [0, {config.total_epochs}]"
         )
@@ -179,8 +167,8 @@ def weighted_loss(logits, labels, weight: float, config: LossConfig) -> LossValu
     """NLL plus ``weight`` times the calibration term, with joint gradient."""
     if not (math.isfinite(weight) and weight >= 0):
         raise DomainError(f"weight must be finite and non-negative, got {weight}")
-    z = np.ascontiguousarray(logits, dtype=np.float64)
-    p, y = _as_batch(softmax(z), labels)
+    p = softmax(_float_array(logits, "logits", (1, 2)))
+    y = _class_labels(labels, *p.shape)
     nll, soft, grad = _joint_loss(p[None], y, np.array([weight], dtype=np.float64),
                                   bin_edges(config.m_train),
                                   config.indicator_variant is IndicatorVariant.TRUE_CLASS_PROB)

@@ -17,34 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _class_labels, _float_array
 from .kernels import bin_edges, reliability_sums
-
-
-def _class_labels(labels, n: int, k: int) -> np.ndarray:
-    """``labels`` as n int64 class indices in [0, k): the one label rule.
-
-    Integer dtypes, Python ints and whole-number floats pass; fractional,
-    NaN and non-numeric labels (str, None, bool, complex, mixed object) do
-    not. The range is checked before the cast, so a label past int64 or an
-    infinite one cannot wrap into range."""
-    try:
-        y = np.asarray(labels)
-    except ValueError:  # ragged nesting
-        raise DomainError("labels must be one class index per row, got a ragged sequence") from None
-    if y.shape != (n,):
-        raise DomainError(f"labels must be one class index per row: {n} rows, shape {y.shape}")
-    if y.dtype.kind == "f":
-        if not (y == np.trunc(y)).all():  # NaN fails this too
-            raise DomainError("labels must be whole numbers")
-    # An object array of Python ints is what numpy makes of ints past uint64.
-    elif y.dtype.kind not in "iu" and not (
-            y.dtype.kind == "O" and all(type(v) is int for v in y.tolist())):
-        raise DomainError(f"labels must be integers or whole-number floats, got dtype {y.dtype}")
-    outside = (y < 0) | (y >= k)
-    if outside.any():
-        raise DomainError(f"labels outside [0, {k}): got {y[np.argmax(outside)]}")
-    return y.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +26,9 @@ class Predictions:
     """An (n, K) probability matrix with one true label per row.
 
     ``predicted`` (first argmax) and ``confidence`` (the probability there)
-    are computed at construction. ``from_probs`` validates its input, the
-    labels by the one label rule: integers or whole-number floats in
-    [0, K), stored as int64. The plain constructor trusts float64 (n, K)
+    are computed at construction. ``from_probs`` holds its input to the
+    array and label rules, with n >= 1 rows of K >= 2 non-negative entries
+    that sum to 1 within 1e-9. The plain constructor trusts float64 (n, K)
     rows and int64 labels, such as a softmax and a ``Dataset``'s labels.
     """
 
@@ -71,11 +45,7 @@ class Predictions:
 
     @classmethod
     def from_probs(cls, probs, labels) -> "Predictions":
-        p = np.array(probs, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
-            raise DomainError(f"expected an (n, K) matrix, n >= 1, K >= 2, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise DomainError("probs contain non-finite entries")
+        p = _float_array(probs, "probs", (1, 2))
         if np.any(p < 0.0):
             raise DomainError("probs contain negative entries")
         totals = p.sum(axis=1)

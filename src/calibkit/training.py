@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import DomainError
+from .errors import DomainError, _count, _float_array
 from .kernels import bin_edges, row_offsets
 from .losses import (
     IndicatorVariant,
@@ -161,20 +161,13 @@ class TrainConfig:
     eval_bins: int = 15
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise DomainError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0),
+                              ("hidden_dim", 0), ("eval_bins", 1)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DomainError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
             )
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
-        if self.hidden_dim < 0:
-            raise DomainError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
-        if self.eval_bins < 1:
-            raise DomainError(f"eval_bins must be >= 1, got {self.eval_bins}")
         if self.epochs != self.loss.total_epochs:
             raise DomainError(
                 f"epochs ({self.epochs}) and loss.total_epochs "
@@ -208,13 +201,10 @@ def init_model(input_dim: int, hidden_dim: int, k: int, seed: int) -> ModelParam
 
     hidden_dim == 0 selects the linear model.
     """
-    if input_dim < 1:
-        raise DomainError(f"input_dim must be >= 1, got {input_dim}")
-    if hidden_dim < 0:
-        raise DomainError(f"hidden_dim must be >= 0, got {hidden_dim}")
-    if k < 2:
-        raise DomainError(f"need at least 2 classes, got {k}")
-    rng = np.random.default_rng(seed)
+    input_dim = _count(input_dim, "input_dim", 1)
+    hidden_dim = _count(hidden_dim, "hidden_dim", 0)
+    k = _count(k, "k", 2)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     if hidden_dim == 0:
         bound = 1.0 / np.sqrt(input_dim)
         return ModelParams(
@@ -232,9 +222,7 @@ def init_model(input_dim: int, hidden_dim: int, k: int, seed: int) -> ModelParam
 
 
 def _check_features(params: ModelParams, features) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise DomainError(f"features must be 2-D, got shape {features.shape}")
+    features = _float_array(features, "features", (1, 1))
     expected = params.w_hidden.shape[0] if params.has_hidden else params.w_out.shape[0]
     if features.shape[1] != expected:
         raise DomainError(
@@ -362,13 +350,8 @@ def _check_arms(train_set: Dataset, val_set: Dataset, configs: list[TrainConfig]
             if getattr(cfg.loss, name) != getattr(first.loss, name):
                 raise DomainError(f"configs disagree on loss.{name}: "
                                   f"{getattr(first.loss, name)!r} vs {getattr(cfg.loss, name)!r}")
-    if train_set.n < 1 or val_set.n < 1:
-        raise DomainError("train and validation splits must be non-empty")
     if train_set.k != val_set.k or train_set.dim != val_set.dim:
         raise DomainError("train and validation splits disagree on classes or features")
-    for name, ds in (("train", train_set), ("validation", val_set)):
-        if not np.isfinite(ds.features).all():
-            raise DomainError(f"{name} features contain non-finite values")
 
 
 def _check_finite(logits, configs, weights, where: str) -> None:

@@ -184,9 +184,9 @@ class TestSoftEce:
     @pytest.mark.parametrize("probs, labels, message", [
         ([[0.5, 0.5]], [0.7], "labels must be whole numbers"),
         ([[0.5, 0.5]], [np.inf], "labels outside"),
-        ([[np.nan, 0.5]], [0], "probabilities must be finite"),
-        ([[np.inf, 0.5]], [0], "probabilities must be finite"),
-        ([[2.0, -1.0]], [0], r"probabilities outside \[0, 1\]"),
+        ([[np.nan, 0.5]], [0], "probs contain non-finite entries"),
+        ([[np.inf, 0.5]], [0], "probs contain non-finite entries"),
+        ([[2.0, -1.0]], [0], "probs contain negative entries"),
     ], ids=["fractional-label", "infinite-label", "nan-prob", "infinite-prob",
             "prob-outside-unit-interval"])
     def test_rejects_bad_labels_and_probabilities(self, probs, labels, message):
