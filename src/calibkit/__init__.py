@@ -26,7 +26,6 @@ from .losses import (
     weighted_loss,
 )
 from .metrics import (
-    BinStats,
     ClassificationReport,
     Predictions,
     ReliabilityTable,
@@ -55,7 +54,6 @@ from .training import (
 
 __all__ = [
     "__version__",
-    "BinStats",
     "ClassificationReport",
     "Dataset",
     "DomainError",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -26,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import Dataset, LogFormat, SplitSpec, gen_synthetic, load_predictions, split
-from .errors import DomainError
+from .errors import DomainError, _real
 from .kernels import bin_edges
 from .losses import IndicatorVariant, LossConfig, auto_gamma, softmax
 from .metrics import ClassificationReport, Predictions, build_reliability_table
@@ -296,12 +295,9 @@ def _write_diagram(args, table, out: Path, command: str) -> None:
     print(f"diagram: {out}")
 
 
-def _metric(section: dict, name: str, where: str = ""):
-    value = section[name]
-    # JSON true/false load as bool, and NaN/Infinity as float
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise TypeError(f"{where}{name} must be a finite number, got {value!r}")
-    return value
+def _metric(section: dict, name: str, where: str = "") -> float:
+    # JSON true/false load as bool, and NaN/Infinity as float: the scalar rule rejects them.
+    return _real(section[name], f"{where}{name}")
 
 
 def _cmd_compare(args) -> int:

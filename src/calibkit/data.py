@@ -66,7 +66,7 @@ from .errors import (
     PredictionLogError,
     ProbabilitySumError,
 )
-from .errors import _class_labels, _count, _float_array
+from .errors import _class_labels, _count, _float_array, _real
 from .metrics import Predictions
 
 # Cluster centers sit at simplex vertices scaled by this factor; together
@@ -106,8 +106,9 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        if len(self.ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in self.ratios):
-            raise DomainError(f"need three finite positive ratios, got {self.ratios}")
+        if not isinstance(self.ratios, (tuple, list, np.ndarray)) or len(self.ratios) != 3:
+            raise DomainError(f"ratios must be three numbers, got {self.ratios!r}")
+        object.__setattr__(self, "ratios", tuple(_real(r, "ratios", True) for r in self.ratios))
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise DomainError(f"ratios must sum to 1 within 1e-9, got {sum(self.ratios)}")
         object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
@@ -125,8 +126,7 @@ def gen_synthetic(k: int, n_per_class: int, dim: int, overlap: float, seed: int)
     k = _count(k, "k", 2)
     n_per_class = _count(n_per_class, "n_per_class", 1)
     dim = _count(dim, "dim", 2)
-    if not (math.isfinite(overlap) and overlap >= 0):
-        raise DomainError(f"overlap must be finite and non-negative, got {overlap}")
+    overlap = _real(overlap, "overlap")
     rng = np.random.default_rng(_count(seed, "seed", 0))
     means = np.zeros((k, dim))
     if dim >= k:

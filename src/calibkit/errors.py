@@ -1,7 +1,10 @@
-"""Exception types, and the three input rules that every boundary applies:
-labels (:func:`_class_labels`), arrays (:func:`_float_array`) and counts
-(:func:`_count`). Input that breaks a rule stops with a :class:`DomainError`
-that names the field."""
+"""Exception types, and the four input rules that every boundary applies:
+labels (:func:`_class_labels`), arrays (:func:`_float_array`), counts
+(:func:`_count`) and scalars (:func:`_real`). Input that breaks a rule stops
+with a :class:`DomainError` that names the field."""
+
+import math
+import numbers
 
 import numpy as np
 
@@ -98,3 +101,19 @@ def _count(value, name: str, minimum: int) -> int:
         bound = "non-negative" if minimum == 0 else f">= {minimum}"
         raise DomainError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def _real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite float, positive or else non-negative: the one
+    scalar rule. Python and numpy reals pass; bool, str, None, complex, NaN
+    and inf do not, nor does an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    bound = "positive" if positive else "non-negative"
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
+        raise DomainError(f"{name} must be finite and {bound}, got {value}")
+    return x

@@ -55,7 +55,7 @@ def reliability_sums(conf, correct, edges):
     """Per-bin (count, sum of correctness, sum of confidence)."""
     n_bins = edges.shape[0] + 1
     bins = bin_indices(conf, edges)
-    counts = np.bincount(bins, minlength=n_bins).astype(np.int64)
+    counts = np.bincount(bins, minlength=n_bins).astype(np.int64, copy=False)
     acc_sums = np.bincount(bins, weights=correct, minlength=n_bins)
     conf_sums = np.bincount(bins, weights=conf, minlength=n_bins)
     return counts, acc_sums, conf_sums

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, _class_labels, _count, _float_array
+from .errors import DomainError, _class_labels, _count, _float_array, _real
 from .kernels import EPSILON, bin_edges, row_offsets, soft_ece_backward
 from .metrics import Predictions
 
@@ -58,10 +58,7 @@ class LossConfig:
 
     def __post_init__(self):
         # 0 is allowed so the joint objective can degenerate to plain NLL.
-        if not (math.isfinite(self.gamma_e) and self.gamma_e >= 0):
-            raise DomainError(
-                f"gamma_e must be finite and non-negative, got {self.gamma_e}"
-            )
+        object.__setattr__(self, "gamma_e", _real(self.gamma_e, "gamma_e"))
         for name, minimum in (("total_epochs", 1), ("s_e", 0), ("m_train", 1)):
             object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
         if self.s_e >= self.total_epochs:
@@ -165,8 +162,7 @@ def curriculum_weight(c_e: int, config: LossConfig) -> float:
 
 def weighted_loss(logits, labels, weight: float, config: LossConfig) -> LossValue:
     """NLL plus ``weight`` times the calibration term, with joint gradient."""
-    if not (math.isfinite(weight) and weight >= 0):
-        raise DomainError(f"weight must be finite and non-negative, got {weight}")
+    weight = _real(weight, "weight")
     p = softmax(_float_array(logits, "logits", (1, 2)))
     y = _class_labels(labels, *p.shape)
     nll, soft, grad = _joint_loss(p[None], y, np.array([weight], dtype=np.float64),
@@ -196,6 +192,4 @@ def _joint_loss(p: np.ndarray, y: np.ndarray, weights: np.ndarray,
 
 def auto_gamma(nll_sample: float, soft_ece_sample: float) -> float:
     """Target weight that equalizes the magnitudes of two observed losses."""
-    if not (0 < nll_sample < math.inf and 0 < soft_ece_sample < math.inf):  # NaN fails too
-        raise DomainError("loss samples must both be finite and positive")
-    return nll_sample / soft_ece_sample
+    return _real(nll_sample, "nll_sample", True) / _real(soft_ece_sample, "soft_ece_sample", True)

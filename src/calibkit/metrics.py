@@ -5,7 +5,8 @@ Confidences live on the unit interval split into M equal right-closed bins
 which is at least 1/K) is assigned to bin 0 so the mapping is total. The
 expected calibration error is the bin-count-weighted mean absolute gap
 between per-bin accuracy and per-bin mean confidence; empty bins carry
-zero weight.
+zero weight. A :class:`ReliabilityTable` is three length-M arrays, so no
+Python loop runs per bin.
 
 Every scorer reads one :class:`Predictions`: an (n, K) probability matrix
 and its n true labels, held as arrays and validated once.
@@ -56,49 +57,48 @@ class Predictions:
         return cls(p, _class_labels(labels, *p.shape))
 
 
-@dataclass(frozen=True)
-class BinStats:
-    count: int
-    acc: float
-    conf: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReliabilityTable:
-    """Per-bin sample count, accuracy, and mean confidence over M bins.
+    """Per-bin sample ``counts`` (int64), accuracy ``acc`` and mean
+    confidence ``conf`` (float64) as three length-M arrays. Empty bins carry
+    count 0 and acc = conf = 0. Tables are equal when all three arrays are."""
 
-    Empty bins carry count 0 and acc = conf = 0; bin counts always sum
-    to ``n``.
-    """
+    counts: np.ndarray
+    acc: np.ndarray
+    conf: np.ndarray
 
-    m: int
-    bins: tuple[BinStats, ...]
-    n: int
+    @property
+    def m(self) -> int:
+        return self.counts.shape[0]
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+    def __eq__(self, other):
+        if not isinstance(other, ReliabilityTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("counts", "acc", "conf"))
 
 
 def build_reliability_table(preds: Predictions, n_bins: int) -> ReliabilityTable:
     """Bin rows by confidence and aggregate per-bin accuracy and confidence."""
     correct = (preds.predicted == preds.labels).astype(np.float64)
     counts, acc_sums, conf_sums = reliability_sums(preds.confidence, correct, bin_edges(n_bins))
-    bins = []
-    for m in range(n_bins):
-        c = int(counts[m])
-        if c == 0:
-            bins.append(BinStats(0, 0.0, 0.0))
-        else:
-            bins.append(BinStats(c, float(acc_sums[m] / c), float(conf_sums[m] / c)))
-    return ReliabilityTable(m=n_bins, bins=tuple(bins), n=correct.shape[0])
+    occupied = np.maximum(counts, 1)
+    acc_sums /= occupied
+    conf_sums /= occupied
+    return ReliabilityTable(counts, acc_sums, conf_sums)
 
 
 def ece(table: ReliabilityTable) -> float:
     """Bin-weighted mean absolute gap between accuracy and confidence."""
-    if table.n < 1:
+    n = table.n
+    if n < 1:
         raise DomainError("reliability table holds no samples")
-    total = 0.0
-    for b in table.bins:
-        if b.count:
-            total += (b.count / table.n) * abs(b.acc - b.conf)
-    return total
+    # cumsum adds strictly in bin order, as a loop would; np.sum would pair the terms up.
+    return float(np.cumsum(table.counts / n * np.abs(table.acc - table.conf))[-1])
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,15 @@ def classification_report(preds: Predictions) -> ClassificationReport:
     k = preds.probs.shape[1]
     cm = np.zeros((k, k), dtype=np.int64)
     np.add.at(cm, (preds.labels, preds.predicted), 1)
-    per_class = []
-    for c in range(k):
-        tp = float(cm[c, c])
-        fp = float(cm[:, c].sum() - cm[c, c])
-        fn = float(cm[c, :].sum() - cm[c, c])
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        per_class.append((precision, recall, f1))
+    tp = np.diag(cm).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # 0/0 scores 0
+        precision = np.nan_to_num(tp / cm.sum(axis=0))
+        recall = np.nan_to_num(tp / cm.sum(axis=1))
+        f1 = np.nan_to_num(2 * precision * recall / (precision + recall))
     return ClassificationReport(
-        per_class=tuple(per_class),
-        macro_precision=float(np.mean([p for p, _, _ in per_class])),
-        macro_recall=float(np.mean([r for _, r, _ in per_class])),
-        macro_f1=float(np.mean([f for _, _, f in per_class])),
+        per_class=tuple(zip(precision.tolist(), recall.tolist(), f1.tolist())),
+        macro_precision=float(np.mean(precision)),
+        macro_recall=float(np.mean(recall)),
+        macro_f1=float(np.mean(f1)),
         accuracy=float(np.trace(cm) / preds.labels.shape[0]),
     )

@@ -62,11 +62,13 @@ def render_reliability_svg(table: ReliabilityTable, out_path) -> None:
         f'height="{_f(plot_h)}" fill="none" stroke="#000000"/>',
     ]
     m = table.m
-    for i, b in enumerate(table.bins):
+    occupied = table.counts.nonzero()[0]
+    points = list(zip(table.conf[occupied].tolist(), table.acc[occupied].tolist()))
+    for i, (conf, acc) in zip(occupied.tolist(), points):
         left = px((i + _BAR_INSET) / m)
         width = plot_w * (1.0 - 2.0 * _BAR_INSET) / m
-        for value, cls, color in ((b.conf, "conf-bar", _CONF_COLOR),
-                                  (b.acc, "acc-bar", _ACC_COLOR)):
+        for value, cls, color in ((conf, "conf-bar", _CONF_COLOR),
+                                  (acc, "acc-bar", _ACC_COLOR)):
             if value <= 0.0:
                 continue
             out.append(
@@ -78,7 +80,6 @@ def render_reliability_svg(table: ReliabilityTable, out_path) -> None:
         f'<line x1="{_f(px(0))}" y1="{_f(py(0))}" x2="{_f(px(1))}" y2="{_f(py(1))}" '
         f'stroke="{_DIAGONAL_COLOR}" stroke-dasharray="6,4"/>'
     )
-    points = [(b.conf, b.acc) for b in table.bins if b.count > 0]
     if len(points) > 1:
         coords = " ".join(f"{_f(px(u))},{_f(py(v))}" for u, v in points)
         out.append(

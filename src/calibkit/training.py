@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import DomainError, _count, _float_array
+from .errors import DomainError, _count, _float_array, _real
 from .kernels import bin_edges, row_offsets
 from .losses import (
     IndicatorVariant,
@@ -164,10 +163,7 @@ class TrainConfig:
         for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0),
                               ("hidden_dim", 0), ("eval_bins", 1)):
             object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise DomainError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}"
-            )
+        object.__setattr__(self, "learning_rate", _real(self.learning_rate, "learning_rate", True))
         if self.epochs != self.loss.total_epochs:
             raise DomainError(
                 f"epochs ({self.epochs}) and loss.total_epochs "

@@ -1,11 +1,14 @@
-"""One array rule and one count rule at every boundary, beside the label rule.
+"""One array rule, one count rule and one scalar rule at every boundary,
+beside the label rule.
 
 Feature, logit and probability arrays hold integers or floats, all finite,
 and are read as float64. Counts are Python or numpy integers at or above
-a minimum. Anything else stops at the boundary with a DomainError that
-names the field, and without a warning.
+a minimum. Scalars are Python or numpy reals, finite and positive or
+non-negative, and are held as float. Anything else stops at the boundary
+with a DomainError that names the field, and without a warning.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +22,7 @@ from calibkit import (
     SplitSpec,
     TrainConfig,
     TrainingMode,
+    auto_gamma,
     backward,
     curriculum_weight,
     forward,
@@ -188,3 +192,75 @@ def test_numpy_integer_counts_are_accepted(field, minimum, good, entry, numpy_in
 def test_a_dataset_holds_its_class_count_as_an_int():
     k = Dataset(FEATURES, [0, 1], np.int64(2)).k
     assert type(k) is int and k == 2
+
+
+# Each scalar field: the name its errors give, whether it must be positive
+# (else non-negative), and the call that sets the field to a value. 0.5 is
+# a good value for every field.
+REAL_FIELDS = {
+    "LossConfig.gamma_e": ("gamma_e", False, lambda v: LossConfig(gamma_e=v)),
+    "TrainConfig.learning_rate": ("learning_rate", True,
+                                  lambda v: _train_config(learning_rate=v)),
+    "gen_synthetic.overlap": ("overlap", False, lambda v: gen_synthetic(2, 2, 2, v, 0)),
+    "SplitSpec.ratios": ("ratios", True, lambda v: SplitSpec(ratios=(v, 0.25, 0.25), seed=0)),
+    "weighted_loss.weight": ("weight", False, lambda v: weighted_loss(LOGITS, LABELS, v, LOSS)),
+    "auto_gamma.nll_sample": ("nll_sample", True, lambda v: auto_gamma(v, 0.5)),
+    "auto_gamma.soft_ece_sample": ("soft_ece_sample", True, lambda v: auto_gamma(0.5, v)),
+}
+
+NOT_REAL = {"bool": True, "str": "0.5", "None": None, "complex": 0.5 + 0j,
+            "numpy-bool": np.True_, "numpy-complex": np.complex128(0.5)}
+NOT_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+              "numpy-nan": np.float64("nan"), "int-past-float": 10 ** 400}
+
+
+def _raises_without_a_warning(entry, value, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=message):
+            entry(value)
+    assert caught == []
+
+
+@pytest.mark.parametrize("bad", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("field, positive, entry", REAL_FIELDS.values(), ids=REAL_FIELDS.keys())
+def test_non_real_scalars_stop_at_the_boundary(field, positive, entry, bad):
+    message = f"^{field} must be a real number, got {re.escape(repr(bad))}$"
+    _raises_without_a_warning(entry, bad, message)
+
+
+@pytest.mark.parametrize("bad", [*NOT_FINITE.values(), "below-minimum"],
+                         ids=[*NOT_FINITE.keys(), "below-minimum"])
+@pytest.mark.parametrize("field, positive, entry", REAL_FIELDS.values(), ids=REAL_FIELDS.keys())
+def test_non_finite_and_out_of_range_scalars_stop_at_the_boundary(field, positive, entry, bad):
+    if bad == "below-minimum":
+        bad = 0.0 if positive else -0.5
+    bound = "positive" if positive else "non-negative"
+    message = f"^{field} must be finite and {bound}, got {re.escape(str(bad))}$"
+    _raises_without_a_warning(entry, bad, message)
+
+
+@pytest.mark.parametrize("real", [np.float64, np.float32, np.float16])
+@pytest.mark.parametrize("field, positive, entry", REAL_FIELDS.values(), ids=REAL_FIELDS.keys())
+def test_numpy_real_scalars_are_held_as_float(field, positive, entry, real):
+    got, want = entry(real(0.5)), entry(0.5)
+    if isinstance(want, (TrainConfig, LossConfig, SplitSpec)):
+        held = getattr(got, field)
+        assert got == want
+        assert all(type(v) is float for v in (held if isinstance(held, tuple) else (held,)))
+    else:
+        _assert_identical(got, want)
+        assert type(got) is type(want)
+
+
+def test_zero_is_the_least_non_negative_scalar_and_ints_are_held_as_float():
+    assert LossConfig(gamma_e=0).gamma_e == 0.0 and type(LossConfig(gamma_e=0).gamma_e) is float
+    assert type(_train_config(learning_rate=np.int64(1)).learning_rate) is float
+    assert weighted_loss(LOGITS, LABELS, 0, LOSS).ece_weight == 0.0
+    assert gen_synthetic(2, 2, 2, 0, 0).features.shape == (4, 2)
+
+
+@pytest.mark.parametrize("ratios", [0.5, None, (0.5, 0.5), (0.25,) * 4], ids=str)
+def test_ratios_are_three_numbers(ratios):
+    _raises_without_a_warning(lambda r: SplitSpec(ratios=r, seed=0), ratios,
+                              "^ratios must be three numbers, got ")

@@ -350,7 +350,8 @@ class TestAutoGamma:
         (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan")), (1.0, float("inf")),
     ])
     def test_rejects_non_finite_samples(self, nll, soft):
-        with pytest.raises(DomainError, match="loss samples must both be finite and positive"):
+        message = r"^(nll|soft_ece)_sample must be finite and positive"
+        with pytest.raises(DomainError, match=message):
             auto_gamma(nll, soft)
 
 

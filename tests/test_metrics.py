@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from calibkit import (
     DomainError,
     Predictions,
+    ReliabilityTable,
     build_reliability_table,
     classification_report,
     ece,
@@ -82,24 +83,23 @@ class TestReliabilityTable:
     def test_two_correct_records_m2(self):
         t = build_reliability_table(preds([[0.9, 0.1], [0.8, 0.2]], [0, 0]), 2)
         assert t.n == 2 and t.m == 2
-        assert (t.bins[0].count, t.bins[0].acc, t.bins[0].conf) == (0, 0.0, 0.0)
-        b = t.bins[1]
-        assert b.count == 2
-        assert b.acc == pytest.approx(1.0)
-        assert b.conf == pytest.approx(0.85)
+        assert (t.counts[0], t.acc[0], t.conf[0]) == (0, 0.0, 0.0)
+        assert t.counts[1] == 2
+        assert t.acc[1] == pytest.approx(1.0)
+        assert t.conf[1] == pytest.approx(0.85)
 
     def test_single_incorrect_record(self):
         t = build_reliability_table(preds([[0.4, 0.6]], [0]), 2)
-        assert t.bins[1].count == 1
-        assert t.bins[1].acc == 0.0
-        assert t.bins[1].conf == pytest.approx(0.6)
+        assert t.counts[1] == 1
+        assert t.acc[1] == 0.0
+        assert t.conf[1] == pytest.approx(0.6)
 
     def test_m1_degenerates_to_overall_stats(self):
         recs = preds([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4]], [0, 0, 0])
         t = build_reliability_table(recs, 1)
-        assert t.bins[0].count == 3
-        assert t.bins[0].acc == pytest.approx(2 / 3)
-        assert t.bins[0].conf == pytest.approx((0.9 + 0.7 + 0.6) / 3)
+        assert t.counts[0] == 3
+        assert t.acc[0] == pytest.approx(2 / 3)
+        assert t.conf[0] == pytest.approx((0.9 + 0.7 + 0.6) / 3)
 
     def test_counts_sum_to_n_and_order_invariance(self):
         rng = np.random.default_rng(0)
@@ -107,17 +107,26 @@ class TestReliabilityTable:
         labels = rng.integers(0, 5, 100)
         recs = Predictions.from_probs(probs, labels)
         t = build_reliability_table(recs, 10)
-        assert sum(b.count for b in t.bins) == 100
+        assert t.counts.sum() == 100
         order = rng.permutation(100)
         shuffled = Predictions.from_probs(probs[order], labels[order])
         t2 = build_reliability_table(shuffled, 10)
-        np.testing.assert_array_equal([b.count for b in t2.bins], [b.count for b in t.bins])
-        np.testing.assert_allclose([b.acc for b in t2.bins], [b.acc for b in t.bins], atol=1e-12)
-        np.testing.assert_allclose([b.conf for b in t2.bins], [b.conf for b in t.bins], atol=1e-12)
+        np.testing.assert_array_equal(t2.counts, t.counts)
+        np.testing.assert_allclose(t2.acc, t.acc, atol=1e-12)
+        np.testing.assert_allclose(t2.conf, t.conf, atol=1e-12)
 
     def test_empty_records_rejected(self):
         with pytest.raises(DomainError):
             build_reliability_table(no_rows(), 10)
+
+    @pytest.mark.parametrize("field", ["counts", "acc", "conf"])
+    def test_tables_differing_in_one_bin_compare_unequal(self, field):
+        t = build_reliability_table(preds([[0.9, 0.1], [0.4, 0.6], [0.7, 0.3]], [0, 0, 1]), 4)
+        arrays = {"counts": t.counts.copy(), "acc": t.acc.copy(), "conf": t.conf.copy()}
+        assert ReliabilityTable(**arrays) == t
+        arrays[field][2] += 1
+        assert ReliabilityTable(**arrays) != t
+        assert t != (t.counts, t.acc, t.conf)
 
 
 class TestEce:
@@ -142,6 +151,22 @@ class TestEce:
         acc = np.mean(recs.predicted == recs.labels)
         conf = np.mean(recs.confidence)
         assert ece(t) == pytest.approx(abs(acc - conf), abs=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 40])
+    def test_equals_an_ordered_per_bin_loop_exactly(self, m):
+        """The terms add up from 0.0 in bin order, as in this loop; a pairwise
+        sum differs from it in the last bit on some tables."""
+        rng = np.random.default_rng(m)
+        for _ in range(100):
+            n = int(rng.integers(1, 501))
+            k = int(rng.integers(2, 6))
+            probs = rng.dirichlet(np.ones(k) * rng.uniform(0.2, 3.0), n)
+            t = build_reliability_table(Predictions.from_probs(probs, rng.integers(0, k, n)), m)
+            want = 0.0
+            for count, acc, conf in zip(t.counts.tolist(), t.acc.tolist(), t.conf.tolist()):
+                if count:
+                    want += (count / t.n) * abs(acc - conf)
+            assert ece(t) == want
 
     def test_matches_brute_force_on_random_batches(self):
         rng = np.random.default_rng(17)
@@ -219,7 +244,7 @@ class TestClassificationReport:
         recs = Predictions.from_probs(probs, labels)
         rep = classification_report(recs)
         t = build_reliability_table(recs, 1)
-        assert rep.accuracy == pytest.approx(t.bins[0].acc, abs=1e-15)
+        assert rep.accuracy == pytest.approx(t.acc[0], abs=1e-15)
 
     def test_empty_records_rejected(self):
         with pytest.raises(DomainError):

@@ -352,6 +352,16 @@ class TestTrainArms:
             assert report.reliability == alone_report.reliability
             assert report == alone_report
 
+    def test_two_arms_reports_compare_unequal_on_their_tables(self, tiny_splits):
+        tr, va, _ = tiny_splits
+        (_, vanilla), (_, fixed) = train_arms(tr, va, arm_configs(
+            [TrainingMode.VANILLA_NLL, TrainingMode.CALIBRATED_FIXED], gammas=[0.4, 3.0]))
+        assert vanilla.reliability != fixed.reliability
+        assert vanilla != fixed
+        assert dataclasses.replace(vanilla, reliability=fixed.reliability) != vanilla
+        with pytest.raises(TypeError):  # a report holds arrays
+            hash(vanilla)
+
     @pytest.mark.parametrize("field, value", [
         ("seed", 4), ("epochs", 7), ("batch_size", 9), ("learning_rate", 0.5),
         ("hidden_dim", 2), ("eval_bins", 10), ("s_e", 1), ("m_train", 5),
@@ -489,11 +499,11 @@ class TestEvaluate:
         ds = gen_synthetic(4, 25, 6, 1.0, 0)
         p = ModelParams(w_out=np.zeros((6, 4)), b_out=np.zeros(4))
         report, value, table = evaluate(predict(p, ds), 15)
-        occupied = [b for b in table.bins if b.count > 0]
+        occupied = np.flatnonzero(table.counts)
         assert len(occupied) == 1
-        assert occupied[0].conf == 0.25
+        assert table.conf[occupied[0]] == 0.25
         # 1/4 lands past the edges 1/15, 2/15, 3/15 and no further
-        assert table.bins[3].count == ds.n
+        assert table.counts[3] == ds.n
         assert value == pytest.approx(abs(report.accuracy - 0.25), abs=1e-12)
 
     def test_separable_problem_reaches_high_accuracy(self):
