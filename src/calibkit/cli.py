@@ -23,10 +23,12 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+if __name__ == "__main__":  # python -m calibkit.cli: before numpy loads, as in calibkit._main
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .data import Dataset, LogFormat, SplitSpec, gen_synthetic, load_predictions, split
-from .errors import DomainError, _real
-from .kernels import bin_edges
+from .errors import DomainError, _count, _real
 from .losses import IndicatorVariant, LossConfig, auto_gamma, softmax
 from .metrics import ClassificationReport, Predictions, build_reliability_table
 from .reporting import comparison_table, render_reliability_svg, save_predictions
@@ -35,6 +37,15 @@ from .training import TrainConfig, TrainingMode, evaluate, forward, train, train
 _VARIANTS = {
     "max-prob": IndicatorVariant.MAX_PROB,
     "true-class": IndicatorVariant.TRUE_CLASS_PROB,
+}
+
+# The flag that sets each field a DomainError can name.
+_FLAGS = {
+    "k": "--classes", "n_per_class": "--per-class", "dim": "--dim", "overlap": "--overlap",
+    "ratios": "--split", "seed": "--seed", "epochs": "--epochs", "total_epochs": "--epochs",
+    "batch_size": "--batch-size", "learning_rate": "--lr", "hidden_dim": "--hidden-dim",
+    "eval_bins": "--bins-eval", "m_train": "--bins-train", "gamma_e": "--gamma", "s_e": "--se",
+    "bin count": "--bins",
 }
 
 
@@ -57,9 +68,13 @@ def _resolve_seed(value) -> int:
     env = os.environ.get("CALIB_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise DomainError(f"CALIB_SEED must be an integer, got {env!r}") from None
+        try:
+            return _count(seed, "seed", 0)
+        except DomainError as exc:  # with its field, run_cli would name --seed
+            raise DomainError(f"CALIB_SEED: {exc}") from None
     return 0
 
 
@@ -257,7 +272,7 @@ def _cmd_train(args) -> int:
 
 def _load_log(args) -> Predictions:
     """The log named by ``--predictions``; a bad ``--bins`` fails before the parse."""
-    bin_edges(args.bins)
+    _count(args.bins, "bin count", 1)
     return load_predictions(args.predictions, LogFormat.from_name(args.format))
 
 
@@ -366,7 +381,8 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        flag = _FLAGS.get(exc.field)
+        print(f"error: {f'{flag}: ' if flag else ''}{exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

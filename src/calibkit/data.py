@@ -107,10 +107,11 @@ class SplitSpec:
 
     def __post_init__(self):
         if not isinstance(self.ratios, (tuple, list, np.ndarray)) or len(self.ratios) != 3:
-            raise DomainError(f"ratios must be three numbers, got {self.ratios!r}")
+            raise DomainError(f"ratios must be three numbers, got {self.ratios!r}", field="ratios")
         object.__setattr__(self, "ratios", tuple(_real(r, "ratios", True) for r in self.ratios))
         if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise DomainError(f"ratios must sum to 1 within 1e-9, got {sum(self.ratios)}")
+            raise DomainError(f"ratios must sum to 1 within 1e-9, got {sum(self.ratios)}",
+                              field="ratios")
         object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
 
@@ -142,7 +143,8 @@ def gen_synthetic(k: int, n_per_class: int, dim: int, overlap: float, seed: int)
             block = slice(c * n_per_class, (c + 1) * n_per_class)
             features[block] = means[c] + overlap * rng.standard_normal((n_per_class, dim))
     if not np.isfinite(features).all():
-        raise DomainError(f"overlap {overlap!r} is too large: the features overflow")
+        raise DomainError(f"overlap {overlap!r} is too large: the features overflow",
+                          field="overlap")
     return Dataset(features=features, labels=labels, k=k)
 
 
@@ -164,8 +166,8 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]
     sizes = _largest_remainder_sizes(dataset.n, spec.ratios)
     if any(s < 1 for s in sizes):
         raise DomainError(
-            f"ratios {spec.ratios} leave an empty split for n={dataset.n} (sizes {sizes})"
-        )
+            f"ratios {spec.ratios} leave an empty split for n={dataset.n} (sizes {sizes})",
+            field="ratios")
     order = np.random.default_rng(spec.seed).permutation(dataset.n)
     parts = []
     start = 0

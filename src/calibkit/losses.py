@@ -62,9 +62,8 @@ class LossConfig:
         for name, minimum in (("total_epochs", 1), ("s_e", 0), ("m_train", 1)):
             object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
         if self.s_e >= self.total_epochs:
-            raise DomainError(
-                f"s_e must satisfy 0 <= s_e < total_epochs, got {self.s_e}"
-            )
+            raise DomainError(f"s_e must satisfy 0 <= s_e < total_epochs, got {self.s_e}",
+                              field="s_e")
 
 
 @dataclass(frozen=True, eq=False)

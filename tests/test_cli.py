@@ -88,7 +88,7 @@ class TestEval:
         log.write_text("not json at all\n")  # parsing it would fail on line 1
         code = run_cli([*command, "--predictions", str(log), "--bins", "0"])
         assert code == 1
-        assert capsys.readouterr().err == "error: bin count must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: --bins: bin count must be >= 1, got 0\n"
 
     def test_csv_format_flag(self, tmp_path, capsys):
         log = tmp_path / "p.csv"
@@ -172,7 +172,7 @@ class TestTrain:
         args = train_args(tmp_path / "run", "--mode", "vanilla")
         del args[args.index("--seed"):args.index("--seed") + 2]
         assert run_cli(args) == 1
-        assert "seed must be non-negative, got -3" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: CALIB_SEED: seed must be non-negative, got -3\n"
 
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 14.9 GiB for an array"),
@@ -370,3 +370,35 @@ class TestUsage:
         assert code == 1
         assert field in capsys.readouterr().err
         assert caught == []
+
+    # One argv per flag of cli._FLAGS. Its `epochs` and `total_epochs` share
+    # --epochs: the CLI builds LossConfig first, so a bad --epochs is always
+    # reported as total_epochs.
+    FLAG_ERRORS = [
+        (["--classes", "1"], "--classes: k must be >= 2, got 1"),
+        (["--per-class", "0"], "--per-class: n_per_class must be >= 1, got 0"),
+        (["--dim", "1"], "--dim: dim must be >= 2, got 1"),
+        (["--overlap", "-1"], "--overlap: overlap must be finite and non-negative, got -1.0"),
+        (["--split", "0.5,0.5,0.5"], "--split: ratios must sum to 1 within 1e-9, got 1.5"),
+        (["--seed", "-1"], "--seed: seed must be non-negative, got -1"),
+        (["--epochs", "0"], "--epochs: total_epochs must be >= 1, got 0"),
+        (["--batch-size", "0"], "--batch-size: batch_size must be >= 1, got 0"),
+        (["--lr", "0"], "--lr: learning_rate must be finite and positive, got 0.0"),
+        (["--hidden-dim", "-1"], "--hidden-dim: hidden_dim must be non-negative, got -1"),
+        (["--bins-eval", "0"], "--bins-eval: eval_bins must be >= 1, got 0"),
+        (["--bins-train", "0"], "--bins-train: m_train must be >= 1, got 0"),
+        (["--gamma", "-1"], "--gamma: gamma_e must be finite and non-negative, got -1.0"),
+        (["--se", "3"], "--se: s_e must satisfy 0 <= s_e < total_epochs, got 3"),
+        (["--bins", "0"], "--bins: bin count must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("argv, line", FLAG_ERRORS, ids=[a[0] for a, _ in FLAG_ERRORS])
+    def test_errors_name_the_flag(self, tmp_path, capsys, argv, line):
+        assert {a[0] for a, _ in self.FLAG_ERRORS} == set(cli._FLAGS.values())
+        if argv[0] == "--bins":
+            args = ["eval", "--predictions", str(write_two_record_log(tmp_path / "p.jsonl")),
+                    *argv]
+        else:
+            args = train_args(tmp_path / "run", *argv)
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"

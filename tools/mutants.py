@@ -10,8 +10,9 @@ copy (the tests themselves are the repository's). It reports one of:
   is not the expected test, the expected test is run on its own too, and
   the line says whether it fails as well;
 * ``survived`` every test passed;
-* ``stale``    the old string does not occur exactly once, so the mutant
-  no longer fits the code and needs re-targeting.
+* ``stale``    the old string does not occur exactly once, or the mutated
+  file does not compile, so the mutant no longer fits the code and needs
+  re-targeting.
 
 Mutants run one at a time, each in a fresh copy. Standard library only.
 
@@ -136,6 +137,95 @@ MUTANTS = [
            "preds = Predictions.from_probs(probs, labels)",
            "preds = Predictions(np.asarray(probs, dtype=np.float64), np.asarray(labels))",
            INPUTS + "test_bad_arrays_stop_at_the_boundary_without_a_warning[soft_ece-str]"),
+    # The pinned constants, tolerances and clamp; bin-side-right above is
+    # the eighteenth of this set.
+    Mutant("nll-clamp-removed", "losses.py",
+           "picked = np.maximum(p.reshape(-1)[at_label], EPSILON)",
+           "picked = p.reshape(-1)[at_label]",
+           "tests/test_losses.py::TestNll::test_probability_clamp_is_one_in_a_million"),
+    Mutant("shuffle-seed-off-by-one", "training.py",
+           "default_rng([first.seed, epoch])", "default_rng([first.seed, epoch + 1])",
+           "tests/test_golden.py::test_artifacts_match_pinned_digests[experiment-seed0]"),
+    Mutant("argmax-last-index", "metrics.py",
+           "predicted = np.argmax(self.probs, axis=1)",
+           "predicted = self.probs.shape[1] - 1 - np.argmax(self.probs[:, ::-1], axis=1)",
+           "tests/test_metrics.py::TestPredictions::test_argmax_tie_breaks_to_lowest_index"),
+    Mutant("ramp-denominator-plus-one", "losses.py",
+           "(config.total_epochs - config.s_e))", "(config.total_epochs - config.s_e + 1))",
+           "tests/test_acceptance.py::test_criterion_6_curriculum_schedule_is_exact"),
+    Mutant("compare-skips-the-scalar-rule", "cli.py",
+           'return _real(section[name], f"{where}{name}")', "return float(section[name])",
+           "tests/test_cli.py::TestCompareAndDiagram::"
+           "test_compare_report_with_bad_metric_value[accuracy-True]"),
+    Mutant("split-bytes-zero", "_bulk.py",
+           "SPLIT_BYTES = 32 << 20", "SPLIT_BYTES = 0",
+           "tests/test_data.py::TestResume::test_a_late_fault_resumes_at_its_block[malformed]"),
+    Mutant("svg-curve-colour", "reporting.py",
+           '_CURVE_COLOR = "#d62728"', '_CURVE_COLOR = "#d62729"',
+           "tests/test_golden.py::test_artifacts_match_pinned_digests[experiment-seed0]"),
+    Mutant("arm-index-swap", "training.py",
+           "results.append((_arm(params, s),",
+           "results.append((_arm(params, len(configs) - 1 - s),",
+           "tests/test_cli.py::TestExperiment::"
+           "test_arms_match_single_train_runs_byte_for_byte[0.7]"),
+    Mutant("loader-tolerance-2e-3", "data.py",
+           "off_sum = np.abs(totals - 1.0) > 1e-3", "off_sum = np.abs(totals - 1.0) > 2e-3",
+           "tests/test_data.py::"
+           "test_rows_within_1e_3_of_sum_1_load_renormalized_and_the_rest_fail[0.001001-bulk]"),
+    Mutant("loader-tolerance-one-sided", "data.py",
+           "off_sum = np.abs(totals - 1.0) > 1e-3", "off_sum = totals - 1.0 > 1e-3",
+           "tests/test_data.py::"
+           "test_rows_within_1e_3_of_sum_1_load_renormalized_and_the_rest_fail[-0.001001-bulk]"),
+    Mutant("from-probs-tolerance-1e-6", "metrics.py",
+           "off = np.abs(totals - 1.0) > 1e-9", "off = np.abs(totals - 1.0) > 1e-6",
+           "tests/test_metrics.py::TestPredictions::"
+           "test_rows_within_1e_9_of_sum_1_are_kept_as_given_and_the_rest_fail[1.001e-09]"),
+    Mutant("from-probs-tolerance-one-sided", "metrics.py",
+           "off = np.abs(totals - 1.0) > 1e-9", "off = totals - 1.0 > 1e-9",
+           "tests/test_metrics.py::TestPredictions::"
+           "test_rows_within_1e_9_of_sum_1_are_kept_as_given_and_the_rest_fail[-1.001e-09]"),
+    Mutant("epsilon-1e-7", "kernels.py",
+           "EPSILON = 1e-6", "EPSILON = 1e-7",
+           "tests/test_losses.py::TestNll::test_probability_clamp_is_one_in_a_million"),
+    Mutant("memory-error-uncaught", "cli.py",
+           "except MemoryError as exc:", "except ZeroDivisionError as exc:",
+           "tests/test_cli.py::TestTrain::test_out_of_memory_fails_cleanly[numpy]"),
+    Mutant("learning-rate-zero-allowed", "training.py",
+           '_real(self.learning_rate, "learning_rate", True)',
+           '_real(self.learning_rate, "learning_rate")',
+           "tests/test_training.py::TestTrainConfig::test_rejects_bad_learning_rate"),
+    Mutant("nll-mean-over-n-minus-1", "losses.py",
+           "loss = -np.log(picked).sum(axis=1) / n", "loss = -np.log(picked).sum(axis=1) / (n - 1)",
+           "tests/test_acceptance.py::test_criterion_2_gradients_match_finite_differences"),
+    Mutant("nll-grad-not-divided-by-n", "losses.py",
+           "    grad /= n\n", "",
+           "tests/test_acceptance.py::test_criterion_2_gradients_match_finite_differences"),
+    # The lazy export table, the entries' one-thread default and the flag map.
+    Mutant("export-under-wrong-submodule", "__init__.py",
+           '"reporting": "comparison_table', '"kernels": "comparison_table',
+           "tests/test_package.py::test_every_public_name_resolves_to_its_submodules_object"),
+    Mutant("python-m-keeps-default-threads", "cli.py",
+           '    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n', "    pass\n",
+           "tests/test_package.py::"
+           "test_cli_entries_start_openblas_on_one_thread_unless_the_user_set_it[python-m-unset]"),
+    Mutant("console-script-imports-cli-first", "__init__.py",
+           '    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n    from .cli import main\n',
+           '    from .cli import main\n    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+           "tests/test_package.py::test_cli_entries_start_openblas_on_one_thread_unless_the_user"
+           "_set_it[console-script-unset]"),
+    Mutant("flag-map-entry-swapped", "cli.py",
+           '"n_per_class": "--per-class"', '"n_per_class": "--classes"',
+           "tests/test_cli.py::TestUsage::test_errors_name_the_flag[--per-class]"),
+    Mutant("count-rule-names-no-field", "errors.py",
+           'raise DomainError(f"{name} must be {bound}, got {value}", field=name)',
+           'raise DomainError(f"{name} must be {bound}, got {value}")',
+           "tests/test_cli.py::TestUsage::test_errors_name_the_flag[--per-class]"),
+    Mutant("calib-seed-blamed-on-the-flag", "cli.py",
+           "            return _count(seed, \"seed\", 0)\n", "            return seed\n",
+           "tests/test_cli.py::TestTrain::test_negative_seed_env_fails_cleanly"),
+    Mutant("load-log-skips-the-count-check", "cli.py",
+           '    _count(args.bins, "bin count", 1)\n', "",
+           "tests/test_cli.py::TestEval::test_bad_bins_fails_before_the_log_is_parsed[eval]"),
 ]
 
 
@@ -167,7 +257,12 @@ def probe(mutant: Mutant) -> tuple[str, str]:
         found = text.count(mutant.old)
         if found != 1:
             return "stale", f"old string found {found} times"
-        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        text = text.replace(mutant.old, mutant.new)
+        try:
+            compile(text, str(path), "exec")
+        except SyntaxError as exc:  # an import error would pass for a caught mutant
+            return "stale", f"the mutated file does not compile: {exc.msg}, line {exc.lineno}"
+        path.write_text(text, encoding="utf-8")
         code, first = _pytest(src, ["-x"])
         if code == 0:
             return "survived", first
