@@ -3,9 +3,9 @@ rows, the block loop that runs it, and the split of a large log between
 this process and a helper program.
 
 A block of canonical K-class rows parses to one (rows, K+1) float64
-array, the label last. :func:`read_log` returns a log's blocks up to its
-first block that is not canonical, and that block's offset, where the
-per-line route of :mod:`calibkit.data` resumes.
+array, the label last. The route is all or nothing: :func:`read_log`
+returns the blocks of a log whose every line is canonical, or None, and
+then the per-line route of :mod:`calibkit.data` reads the whole log.
 
 A log of at least ``SPLIT_BYTES`` (32 MiB), read by a process that may
 run on two or more CPUs, is cut at the first line start at or after its
@@ -19,14 +19,15 @@ from byte START (a line start) with the same block loop. It imports only
 the standard library and numpy, not the calibkit package, so that it
 starts fast. It keeps its blocks in memory and writes them to stdout
 once, at the end, all raw in native byte order: the int64 row count n,
-the int64 offset of its first block that is not canonical (-1 when every
-line parsed), then the n x (K+1) float64 values of its blocks, the label
-last in each row.
+or -1 when a line of the tail is not canonical, then the n x (K+1)
+float64 values of its blocks, the label last in each row.
 Writing only at the end keeps the helper from blocking on a full pipe
 while this process is still busy with the head. A helper that cannot
 start, exits non-zero or writes output of the wrong length leaves the
-tail to this process. The helper is waited for on every path, and killed
-first unless it has finished, so no process outlives :func:`read_log`.
+tail to this process; one that writes -1 declines the log, which this
+process then does not read further. The helper is waited for on every
+path, and killed first unless it has finished, so no process outlives
+:func:`read_log`.
 """
 
 import os
@@ -77,11 +78,11 @@ def parse_block(lines: list[bytes], k: int, pattern: re.Pattern) -> np.ndarray |
     return values if np.isfinite(values).all() and (values[:, k] < k).all() else None
 
 
-def read(fh, stop: int | None, k: int) -> tuple[list[np.ndarray], int | None]:
+def read(fh, stop: int | None, k: int) -> list[np.ndarray] | None:
     """The blocks of canonical K-class rows of a binary file from its
     position up to byte ``stop`` (a line start; None reads to the end),
-    and the offset of the first block that is not canonical, or None.
-    Each block holds about BLOCK_BYTES of lines and ends at a line end."""
+    or None at the first block that is not canonical. Each block holds
+    about BLOCK_BYTES of lines and ends at a line end."""
     pattern = canonical_row(k)
     parts = []
     while (offset := fh.tell()) != stop:
@@ -95,9 +96,9 @@ def read(fh, stop: int | None, k: int) -> tuple[list[np.ndarray], int | None]:
             fh.seek(end)
         values = parse_block(lines, k, pattern)
         if values is None:
-            return parts, offset
+            return None
         parts.append(values)
-    return parts, None
+    return parts
 
 
 def cpus() -> int:
@@ -122,29 +123,30 @@ def split_point(fh) -> int | None:
     return cut if cut < size else None
 
 
-def _helper_tail(helper, k: int) -> tuple[list[np.ndarray], int | None] | None:
-    """The blocks and resume offset that a helper wrote, or None when it
-    failed: it exited non-zero or its output has the wrong length."""
-    out = helper.communicate()[0]
-    if helper.returncode != 0 or len(out) < 16:
-        return None
-    n, resume = np.frombuffer(out, np.int64, count=2).tolist()
-    if n < 0 or resume < -1 or len(out) != 16 + n * (k + 1) * 8:
-        return None
-    values = np.frombuffer(out, np.float64, offset=16).reshape(n, k + 1)
-    return [values], None if resume == -1 else resume
+def _helper_tail(helper, fh, k: int) -> list[np.ndarray] | None:
+    """The blocks of the tail from ``fh``'s position, or None when one is
+    not canonical: as the helper wrote them, or read here when there is
+    no helper or it failed: it exited non-zero or its output has the
+    wrong length."""
+    if helper is not None:
+        out = helper.communicate()[0]
+        n = int.from_bytes(out[:8], sys.byteorder, signed=True)
+        if helper.returncode == 0 and n == -1 and len(out) == 8:
+            return None  # the helper declined
+        if helper.returncode == 0 and n >= 0 and len(out) == 8 + n * (k + 1) * 8:
+            return [np.frombuffer(out, np.float64, offset=8).reshape(n, k + 1)]
+    return read(fh, None, k)
 
 
-def read_log(path) -> tuple[list[np.ndarray], int | None]:
-    """The blocks of a JSONL log's canonical rows up to its first block
-    that is not canonical, and that block's offset (None when every row
-    was read). A log of at least SPLIT_BYTES on two or more CPUs is read
-    in two processes (see the module docstring)."""
+def read_log(path) -> list[np.ndarray] | None:
+    """The blocks of a JSONL log whose rows are all canonical, or None. A
+    log of at least SPLIT_BYTES on two or more CPUs is read in two
+    processes (see the module docstring)."""
     with open(path, "rb") as fh:
         # K-1 commas between the numbers, one before "label"
         k = fh.readline().count(b",")
         if k < 2:
-            return [], 0
+            return None
         fh.seek(0)
         cut = split_point(fh)
         if cut is None:
@@ -161,13 +163,9 @@ def read_log(path) -> tuple[list[np.ndarray], int | None]:
         except OSError:
             helper = None
         try:
-            head, resume = read(fh, cut, k)
-            if resume is not None:
-                return head, resume
-            tail = None if helper is None else _helper_tail(helper, k)
-            if tail is None:  # no helper, or it failed: read the tail here
-                tail = read(fh, None, k)
-            return head + tail[0], tail[1]
+            head = read(fh, cut, k)
+            tail = None if head is None else _helper_tail(helper, fh, k)
+            return None if tail is None else head + tail
         finally:
             if helper is not None:
                 helper.kill()
@@ -181,9 +179,9 @@ def serve(path, start: int, k: int, out) -> None:
     ``out``, in the wire format of the module docstring."""
     with open(path, "rb") as log:
         log.seek(start)
-        parts, resume = read(log, None, k)
-    out.write(np.array([sum(map(len, parts)), -1 if resume is None else resume], np.int64).tobytes())
-    for values in parts:
+        parts = read(log, None, k)
+    out.write(np.int64(-1 if parts is None else sum(map(len, parts))).tobytes())
+    for values in parts or ():
         out.write(values)
     out.flush()
 

@@ -42,7 +42,7 @@ _VARIANTS = {
 # The flag that sets each field a DomainError can name.
 _FLAGS = {
     "k": "--classes", "n_per_class": "--per-class", "dim": "--dim", "overlap": "--overlap",
-    "ratios": "--split", "seed": "--seed", "epochs": "--epochs", "total_epochs": "--epochs",
+    "ratios": "--split", "seed": "--seed", "total_epochs": "--epochs",
     "batch_size": "--batch-size", "learning_rate": "--lr", "hidden_dim": "--hidden-dim",
     "eval_bins": "--bins-eval", "m_train": "--bins-train", "gamma_e": "--gamma", "s_e": "--se",
     "bin count": "--bins",

@@ -16,38 +16,36 @@ and confidence are always recomputed from the probabilities.
 A JSONL log takes one of two routes, with bit-identical results:
 
 * The bulk route (:mod:`calibkit._bulk`) reads the file in blocks of
-  about 1 MiB, each cut at a line end. A block is taken only if every
-  line in it is a canonical row, exactly as ``save_predictions`` and
-  ``json.dumps`` write it: ``{"probs": [N, ..., N], "label": L}`` with K
-  non-negative JSON numbers and a LF ending. The punctuation is then cut
-  out and all numbers of the block parse in one C call, correctly
-  rounded like ``float``, into a (rows, K+1) float64 array, the label
-  last. This route exists for speed: a ``json.loads`` per row, with its
-  dict, list and Python floats, costs about three times as much as
-  parsing the decimals. A log of at least 32 MiB on two or more CPUs has
-  its tail read by a helper process; see :mod:`calibkit._bulk`.
+  about 1 MiB, each cut at a line end. It takes a log only if every line
+  is a canonical row, exactly as ``save_predictions`` and ``json.dumps``
+  write it: ``{"probs": [N, ..., N], "label": L}`` with K non-negative
+  JSON numbers and a LF ending. The punctuation is then cut out and all
+  numbers of a block parse in one C call, correctly rounded like
+  ``float``, into a (rows, K+1) float64 array, the label last. This
+  route exists for speed: a ``json.loads`` per row, with its dict, list
+  and Python floats, costs about three times as much as parsing the
+  decimals. A log of at least 32 MiB on two or more CPUs has its tail
+  read by a helper process; see :mod:`calibkit._bulk`.
 * The per-line route (:func:`_load_rows`) parses each line with
-  ``json.loads`` and reads any JSON the format allows. It takes over at
-  the first line of the first block that is not canonical (other
-  spacing or key order, CRLF, non-ASCII, a blank line, a ``-``), or
-  whose number overflows a float or whose label is >= K, so those errors
-  are the per-line route's. It keeps the rows read before that block,
-  and a value fault among them is still reported before a later parse
-  fault. Any other fault of a canonical log (a negative number cannot
-  occur) is a probability sum outside tolerance, which both routes
-  report from the same final check on the same arrays, so the bulk
-  route raises it itself.
+  ``json.loads`` and reads any JSON the format allows. It reads the
+  whole log, from line 1, when any line is not canonical (other spacing
+  or key order, CRLF, non-ASCII, a blank line, a ``-``), or has a number
+  that overflows a float or a label >= K, so those errors are its own.
+  Any other fault of a canonical log (a negative number cannot occur) is
+  a probability sum outside tolerance, which both routes report from the
+  same final check on the same arrays, so the bulk route raises it
+  itself.
 
-Either way the rows are copied once into contiguous (n, K) probabilities
-and n labels, which one final check runs over from line 1, so arrays,
-errors and line numbers do not depend on the route. CSV logs take the
-per-line route alone.
+Either way one final check runs over the contiguous (n, K) probabilities
+and n labels from line 1, so arrays, errors and line numbers do not
+depend on the route; it runs too when a parse fault stops the per-line
+route, so that a value fault on an earlier line is reported first. CSV
+logs take the per-line route alone.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from array import array
@@ -190,10 +188,10 @@ class LogFormat(Enum):
             raise DomainError(f"unknown prediction log format {name!r}") from None
 
 
-def _utf8_lines(fh, first_line: int = 1):
+def _utf8_lines(fh):
     """Lines of a file opened with errors="surrogateescape": a non-UTF-8
     byte decodes to a lone surrogate, which fails to re-encode."""
-    for line_no, line in enumerate(fh, start=first_line):
+    for line_no, line in enumerate(fh, start=1):
         if not line.isascii():
             try:
                 line.encode("utf-8")
@@ -202,12 +200,9 @@ def _utf8_lines(fh, first_line: int = 1):
         yield line
 
 
-def _iter_jsonl_rows(path: Path, offset: int, first_line: int):
-    """The rows from byte ``offset``, a line start on line ``first_line``."""
-    with path.open("rb") as binary:
-        binary.seek(offset)
-        fh = io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape")
-        for line_no, raw in enumerate(_utf8_lines(fh, first_line), start=first_line):
+def _iter_jsonl_rows(path: Path):
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, raw in enumerate(_utf8_lines(fh), start=1):
             if not raw.strip():
                 raise MalformedRowError("blank line", line_no)
             try:
@@ -255,29 +250,27 @@ def _iter_csv_rows(path: Path):
             yield line_no, probs, label
 
 
-
-
-def _arrays(blocks: list[np.ndarray], k: int, flat: array | bytes = b"",
-            labels: list[int] | tuple[()] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous (n, K) probabilities and n labels: the rows of the bulk
-    route's blocks, then the per-line route's flat float64 rows and their
-    labels. The blocks are emptied, each freed once copied. The labels are
-    int64, or Python ints if one is past int64: such a label is outside
-    [0, K), so the final check raises before they go further."""
-    bulk = end = sum(map(len, blocks))
-    p = np.empty((bulk + len(labels), k))
-    y = np.empty(len(p), np.int64)
+def _arrays(blocks: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous (n, K) probabilities and n int64 labels from the bulk
+    route's blocks, which are emptied, each freed once copied."""
+    end = sum(map(len, blocks))
+    p, y = np.empty((end, k)), np.empty(end, np.int64)
     while blocks:
         values = blocks.pop()
         p[end - len(values):end], y[end - len(values):end] = values[:, :k], values[:, k]
         end -= len(values)
-    p[bulk:] = np.frombuffer(flat).reshape(-1, k)
-    try:
-        y[bulk:] = labels
-    except OverflowError:
-        y = y.astype(object)
-        y[bulk:] = labels
     return p, y
+
+
+def _row_arrays(flat: array, labels: list[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-line route's (n, K) probabilities, a view of ``flat``, and
+    n labels: int64, or Python ints if one is past int64. Such a label is
+    outside [0, K), so the final check raises before they go further."""
+    p = np.frombuffer(flat).reshape(-1, k)
+    try:
+        return p, np.array(labels, np.int64)
+    except OverflowError:
+        return p, np.array(labels, object)
 
 
 def _checked_arrays(p: np.ndarray, y: np.ndarray,
@@ -309,20 +302,12 @@ def _checked_arrays(p: np.ndarray, y: np.ndarray,
     return p, y
 
 
-def _load_rows(path: Path, fmt: LogFormat, blocks: list[np.ndarray] | tuple[()] = (),
-               offset: int = 0) -> Predictions:
-    """The per-line route: any JSONL or CSV log, one parsed line at a time.
-    A JSONL log may resume at byte ``offset``, a line start, after the
-    bulk route has read the ``blocks`` before it."""
+def _load_rows(path: Path, fmt: LogFormat) -> Predictions:
+    """The per-line route: any JSONL or CSV log, one parsed line at a time."""
     # One flat typed buffer: a list of per-row lists would take about twice the memory.
     flat, labels = array("d"), []
     k = first_line = None
-    if blocks:
-        k, first_line = blocks[0].shape[1] - 1, 1
-    if fmt is LogFormat.JSONL:
-        parsed = _iter_jsonl_rows(path, offset, sum(map(len, blocks)) + 1)
-    else:
-        parsed = _iter_csv_rows(path)
+    parsed = _iter_jsonl_rows(path) if fmt is LogFormat.JSONL else _iter_csv_rows(path)
     try:
         for line_no, probs, label in parsed:
             if k is None:
@@ -336,11 +321,11 @@ def _load_rows(path: Path, fmt: LogFormat, blocks: list[np.ndarray] | tuple[()] 
     except MalformedRowError:
         if k is not None:
             # A value fault on an earlier line is reported before this one.
-            _checked_arrays(*_arrays(blocks, k, flat, labels), first_line)
+            _checked_arrays(*_row_arrays(flat, labels, k), first_line)
         raise
     if k is None:
         raise PredictionLogError("file contains no prediction rows")
-    return Predictions(*_checked_arrays(*_arrays(blocks, k, flat, labels), first_line))
+    return Predictions(*_checked_arrays(*_row_arrays(flat, labels, k), first_line))
 
 
 def load_predictions(path, fmt: LogFormat) -> Predictions:
@@ -349,16 +334,12 @@ def load_predictions(path, fmt: LogFormat) -> Predictions:
     Raises a distinct error for a missing file, a malformed row, a
     probability sum outside tolerance, or an out-of-range label; row
     errors carry the 1-based line number of the first faulty line.
-    A JSONL log takes the bulk route up to its first block that is not
-    canonical and the per-line route from there (see the module
-    docstring).
+    A JSONL log takes the bulk route if every line is canonical, and the
+    per-line route otherwise (see the module docstring).
     """
     path = Path(path)
     if not path.is_file():
         raise MissingLogError(f"prediction log not found: {path}")
-    if fmt is LogFormat.CSV:
-        return _load_rows(path, fmt)
-    blocks, resume = _bulk.read_log(path)
-    if resume is not None:
-        return _load_rows(path, fmt, blocks, resume)
-    return Predictions(*_checked_arrays(*_arrays(blocks, blocks[0].shape[1] - 1), 1))
+    if fmt is LogFormat.JSONL and (blocks := _bulk.read_log(path)) is not None:
+        return Predictions(*_checked_arrays(*_arrays(blocks, blocks[0].shape[1] - 1), 1))
+    return _load_rows(path, fmt)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ._bulk import ROW_END, ROW_HEAD, ROW_MID
 from .data import LogFormat
 from .errors import DomainError
 from .metrics import ClassificationReport, Predictions, ReliabilityTable
@@ -29,6 +30,8 @@ _CURVE_COLOR = "#d62728"
 # Written into the SVG as they are, so they hold no XML special characters.
 _X_LABEL = "Confidence (M = {m} bins)"
 _Y_LABEL = "Accuracy / Confidence"
+# The canonical JSONL row, as the bulk route of calibkit._bulk reads it back.
+_ROW_HEAD, _ROW_MID, _ROW_END = (part.decode() for part in (ROW_HEAD, ROW_MID, ROW_END))
 
 
 def _f(x: float) -> str:
@@ -159,7 +162,7 @@ def save_predictions(preds: Predictions, path, fmt: LogFormat) -> None:
     rows = zip(preds.probs, preds.labels.tolist())
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         if fmt is LogFormat.JSONL:
-            fh.writelines(f'{{"probs": [{", ".join(map(repr, p.tolist()))}], "label": {y}}}\n'
+            fh.writelines(f'{_ROW_HEAD}{", ".join(map(repr, p.tolist()))}{_ROW_MID}{y}{_ROW_END}'
                           for p, y in rows)
         else:
             fh.write(",".join([f"p{i}" for i in range(preds.probs.shape[1])] + ["label"]) + "\n")

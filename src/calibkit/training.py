@@ -16,10 +16,13 @@ This is the one module that calls BLAS, and :func:`train_arms`,
 :func:`forward` and :func:`backward` run it on one thread: OpenBLAS's
 one-thread path rounds the stacked matmuls differently in the last bit
 from its threaded path, and on wide batches a second thread buys little
-wall time for much more CPU. So the artifacts do not depend on the CPU count, and they are
-bit-identical for one numpy and BLAS build. The caller's thread count is
-given back on every return, exceptions included. A BLAS other than
-OpenBLAS is left as it is, and is not pinned.
+wall time for much more CPU. So the artifacts do not depend on the CPU
+count. They are bit-identical for one numpy build, one BLAS build, one
+numpy dispatch level and one OpenBLAS core: ``np.exp``, ``np.log`` and
+``np.tan`` round differently on numpy's AVX-512 and AVX2 loops, and so
+do OpenBLAS's SkylakeX and Haswell GEMM kernels. The caller's thread
+count is given back on every return, exceptions included. A BLAS other
+than OpenBLAS is left as it is, and is not pinned.
 """
 
 from __future__ import annotations
@@ -66,18 +69,26 @@ _OPENBLAS_THREADS = (
 
 
 @functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of the loaded OpenBLAS, or
-    None when numpy uses another BLAS. Looked up on first use, so that
-    importing calibkit never loads a library."""
+def _numpy_library():
+    """numpy's extension module as a ctypes library, or None. dlsym on it
+    also searches the libraries it links, its BLAS among them. Loaded on
+    first use, so that importing calibkit never loads a library."""
     if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
         from numpy._core import _multiarray_umath
     else:  # touching numpy.core warns on numpy 2
         from numpy.core import _multiarray_umath
     try:
-        # dlsym on numpy's extension module also searches the libraries it links
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        return ctypes.CDLL(_multiarray_umath.__file__)
     except OSError:
+        return None
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the loaded OpenBLAS, or
+    None when numpy uses another BLAS."""
+    lib = _numpy_library()
+    if lib is None:
         return None
     for get_name, set_name in _OPENBLAS_THREADS:
         get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)

@@ -371,9 +371,7 @@ class TestUsage:
         assert field in capsys.readouterr().err
         assert caught == []
 
-    # One argv per flag of cli._FLAGS. Its `epochs` and `total_epochs` share
-    # --epochs: the CLI builds LossConfig first, so a bad --epochs is always
-    # reported as total_epochs.
+    # One argv per flag of cli._FLAGS.
     FLAG_ERRORS = [
         (["--classes", "1"], "--classes: k must be >= 2, got 1"),
         (["--per-class", "0"], "--per-class: n_per_class must be >= 1, got 0"),

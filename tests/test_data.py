@@ -4,6 +4,7 @@ import io
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,9 @@ from calibkit import (
 from calibkit import _bulk
 from calibkit import data as data_module
 from calibkit.data import _load_rows
+
+# The shipped threshold, before any test patches it.
+SPLIT_BYTES = _bulk.SPLIT_BYTES
 
 # measured once with the nearest-centroid oracle below (seed 0) and frozen
 FROZEN_CENTROID_ACC = 0.654
@@ -352,7 +356,7 @@ def outcome(load, path):
 def _load_canonical_jsonl(path):
     """The bulk route alone: the predictions of a JSONL log whose rows are
     all canonical, else None."""
-    if _bulk.read_log(path)[1] is not None:
+    if _bulk.read_log(path) is None:
         return None
     return load_predictions(path, LogFormat.JSONL)
 
@@ -546,8 +550,8 @@ class TestBulkRoute:
         path = tmp_path / "p.jsonl"
         save_predictions(Predictions(probs, labels), path, LogFormat.JSONL)
         assert b"e-05, " in path.read_bytes()
-        blocks, resume = _bulk.read_log(path)
-        assert resume is None
+        blocks = _bulk.read_log(path)
+        assert blocks is not None
         assert np.concatenate(blocks).tobytes() == np.column_stack([probs, labels]).tobytes()
 
     @pytest.mark.parametrize("k", [2, 10])
@@ -572,7 +576,7 @@ def two_row_log(path, route, row):
     else:  # the per-line route: swapped keys are not canonical
         path.write_bytes(b"".join(b'{"label": 0, "probs": [%s]}\n' % b", ".join(t)
                                   for t in tokens))
-    assert (_bulk.read_log(path)[1] is None) == (route == "bulk")
+    assert (_bulk.read_log(path) is not None) == (route == "bulk")
     return 2
 
 
@@ -598,7 +602,7 @@ def with_line(path, at, line):
     return path
 
 
-# -- Resuming the per-line route ----------------------------------------------
+# -- The whole-file fallback to the per-line route ----------------------------
 
 
 def count_json_loads(monkeypatch):
@@ -618,26 +622,27 @@ def count_json_loads(monkeypatch):
 SWAPPED = b'{"label": 0, "probs": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]}\n'
 
 
-class TestResume:
+class TestFallback:
     @pytest.mark.parametrize("fault, last_line", [
         (b'{"probs": [0.9, 0.9], "label": 0}\n', 5801),
         (SWAPPED, 6000),
     ], ids=["malformed", "keys-swapped"])
-    def test_a_late_fault_resumes_at_its_block(self, tmp_path, monkeypatch, fault, last_line):
-        """The per-line route parses only the lines from the start of the
-        block that holds line 5801, the first that is not canonical, up to
-        the fault that stops it or the end."""
+    def test_a_late_fault_sends_the_whole_log_to_the_per_line_route(
+            self, tmp_path, monkeypatch, fault, last_line):
+        """The bulk route has read blocks before line 5801, the first that
+        is not canonical, yet the per-line route parses every line from
+        line 1 up to the fault that stops it or the end."""
         path = with_line(write_long_log(tmp_path / "p.jsonl", 6000), 5800, fault)
         want = outcome(_load_rows, path)
         monkeypatch.setattr(_bulk, "BLOCK_BYTES", 4096)  # about 17 lines
         calls = count_json_loads(monkeypatch)
         assert outcome(load_predictions, path) == want
-        assert 0 <= len(calls) - (last_line - 5800) < 20
+        assert len(calls) == last_line
 
-    def test_a_value_fault_in_the_bulk_prefix_comes_first(self, tmp_path):
+    def test_a_value_fault_before_a_late_parse_fault_comes_first(self, tmp_path):
         """A sum fault on line 10 is reported before a parse fault on line
-        5801, though the bulk route read line 10 and the per-line route the
-        other."""
+        5801: the per-line route checks the rows it has read before it
+        raises."""
         path = write_long_log(tmp_path / "p.jsonl", 6000)
         with_line(path, 9, canonical_line([b"0.9", b"0.9"] + [b"0"] * 8, b"0"))
         with_line(path, 5800, b"{}\n")
@@ -696,30 +701,35 @@ class TestSplitRoute:
         body = path.read_bytes()
         assert len(body) // 2 <= cut < len(body) and body[cut - 1:cut] == b"\n"
 
-    @pytest.mark.parametrize("at, line", [
-        (10, b'{"probs": [0.9, 0.9], "label": 0}\n'),
-        (390, b'{"probs": [0.9, 0.9], "label": 0}\n'),
-        (390, canonical_line([b"0.1"] * 10, b"10")),
+    @pytest.mark.parametrize("at, line, parsed", [
+        (10, b'{"probs": [0.9, 0.9], "label": 0}\n', 11),
+        (390, b'{"probs": [0.9, 0.9], "label": 0}\n', 391),
+        (390, canonical_line([b"0.1"] * 10, b"10"), 400),
     ], ids=["non-canonical-head", "non-canonical-tail", "label-in-tail"])
-    def test_a_fault_takes_the_per_line_route(self, tmp_path, monkeypatch, at, line):
+    def test_a_fault_sends_the_whole_log_to_the_per_line_route(self, tmp_path, monkeypatch,
+                                                               at, line, parsed):
+        """Wherever the fault is, the per-line route parses from line 1."""
         path = with_line(write_long_log(tmp_path / "p.jsonl", 400), at, line)
-        want = outcome(_load_rows, path)
-        helpers = force_split(monkeypatch)
-        assert outcome(load_predictions, path) == want
-        assert want[2] == at + 1
-        assert len(helpers) == 1 and helpers[0].returncode is not None
-
-    def test_a_late_fault_in_the_tail_resumes_at_its_block(self, tmp_path, monkeypatch):
-        """The helper hands back the tail's rows before its first block that
-        is not canonical, so the per-line route starts there, not at the cut."""
-        path = with_line(write_long_log(tmp_path / "p.jsonl", 20000), 19990, SWAPPED)
         want = outcome(_load_rows, path)
         helpers = force_split(monkeypatch)
         calls = count_json_loads(monkeypatch)
         assert outcome(load_predictions, path) == want
+        assert want[2] == at + 1 and len(calls) == parsed
+        assert len(helpers) == 1 and helpers[0].returncode is not None
+
+    def test_a_declining_helper_leaves_the_tail_unread(self, tmp_path, monkeypatch):
+        """The helper writes -1 for a tail with a line that is not
+        canonical, so this process leaves the tail unread and the per-line
+        route reads the whole log."""
+        path = with_line(write_long_log(tmp_path / "p.jsonl", 400), 390, SWAPPED)
+        want = outcome(_load_rows, path)
+        helpers = force_split(monkeypatch)
+        stops = spy_reads(monkeypatch)
+        calls = count_json_loads(monkeypatch)
+        assert outcome(load_predictions, path) == want
         assert [h.returncode for h in helpers] == [0]
-        # The tail holds 10 000 lines and a helper block about 4 500.
-        assert 10 <= len(calls) < 4600
+        assert len(stops) == 1 and stops[0] is not None  # the head alone
+        assert len(calls) == 400
 
     def test_a_sum_fault_in_the_tail_names_its_line(self, tmp_path, monkeypatch):
         path = with_line(write_long_log(tmp_path / "p.jsonl", 400), 350,
@@ -741,9 +751,10 @@ class TestSplitRoute:
 
     @pytest.mark.parametrize("code", [
         "import sys; sys.exit(3)",
-        "import sys; sys.stdout.buffer.write((5).to_bytes(8, sys.byteorder)"
-        " + (-1).to_bytes(8, sys.byteorder, signed=True) + b'short')",
-    ], ids=["exit-3", "short-output"])
+        "import sys; sys.stdout.buffer.write((5).to_bytes(8, sys.byteorder) + b'short')",
+        "import sys; sys.stdout.buffer.write((-1).to_bytes(8, sys.byteorder, signed=True)"
+        " + bytes(8))",
+    ], ids=["exit-3", "short-output", "long-decline"])
     def test_a_failed_helper_leaves_the_tail_to_this_process(self, tmp_path, monkeypatch,
                                                              code):
         path = write_long_log(tmp_path / "p.jsonl", 400)
@@ -754,19 +765,24 @@ class TestSplitRoute:
         assert len(stops) == 2 and stops[1] is None
         assert len(helpers) == 1 and helpers[0].returncode is not None
 
-    def test_an_interrupt_kills_the_helper(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("end", ["interrupt", "non-canonical head"])
+    def test_a_helper_still_running_is_killed(self, tmp_path, monkeypatch, end):
         path = write_long_log(tmp_path / "p.jsonl", 400)
-        helpers = force_split(monkeypatch)
+        helpers = force_split(monkeypatch,
+                              command=[sys.executable, "-c", "import time; time.sleep(30)"])
+        if end == "interrupt":
+            def interrupted(*args):
+                raise KeyboardInterrupt
 
-        def interrupted(*args):
-            raise KeyboardInterrupt
+            monkeypatch.setattr(_bulk, "read", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                load_predictions(path, LogFormat.JSONL)
+        else:
+            with_line(path, 10, SWAPPED)
+            assert load_predictions(path, LogFormat.JSONL).labels.shape == (400,)
+        assert len(helpers) == 1 and helpers[0].returncode == -signal.SIGKILL
 
-        monkeypatch.setattr(_bulk, "read", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            load_predictions(path, LogFormat.JSONL)
-        assert len(helpers) == 1 and helpers[0].returncode is not None
-
-    @pytest.mark.parametrize("case", ["one CPU", "CSV", "below the threshold"])
+    @pytest.mark.parametrize("case", ["one CPU", "CSV", "below the threshold", "a small log"])
     def test_no_helper_starts(self, tmp_path, monkeypatch, case):
         path = write_long_log(tmp_path / "p.jsonl", 400)
         fmt = LogFormat.JSONL
@@ -779,6 +795,8 @@ class TestSplitRoute:
             monkeypatch.setattr(_bulk, "cpus", lambda: 1)
         elif case == "below the threshold":
             monkeypatch.setattr(_bulk, "SPLIT_BYTES", path.stat().st_size + 1)
+        elif case == "a small log":
+            monkeypatch.setattr(_bulk, "SPLIT_BYTES", SPLIT_BYTES)
         assert load_predictions(path, fmt).labels.shape == (400,)
 
     def test_the_cpu_count_is_positive(self):
@@ -795,10 +813,15 @@ assert preds.labels.shape == (400,)
 """
 
 
-def test_the_split_route_leaves_no_pipe_or_process_behind(tmp_path):
+@pytest.mark.parametrize("swapped", [None, 10, 390], ids=["canonical", "head", "tail"])
+def test_the_split_route_leaves_no_pipe_or_process_behind(tmp_path, swapped):
     """Under -X dev -W error an unclosed pipe or an unreaped helper is a
-    ResourceWarning on stderr."""
+    ResourceWarning on stderr: after a helper whose tail this process
+    takes, one killed when the head is not canonical, and one that
+    declines its tail."""
     path = write_long_log(tmp_path / "p.jsonl", 400)
+    if swapped is not None:
+        with_line(path, swapped, SWAPPED)
     src = Path(data_module.__file__).parents[1]
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-c", LEAK_PROBE, str(path)],

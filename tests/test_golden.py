@@ -1,12 +1,16 @@
 """Cross-commit byte identity: the CLI's artifacts pinned by sha256.
 
 The digests hold for one numpy build and one BLAS, on any CPU count:
-training runs OpenBLAS on one thread whatever the caller's setting. On
-another build the float results may legitimately differ in the last bit,
-so the tests skip and name the platform they found. The digests change
-only in a change whose notes say that its artifacts change, and why.
+training runs OpenBLAS on one thread whatever the caller's setting. The
+training digests hold, besides, for one numpy dispatch level and one
+OpenBLAS core, whose exp, log, tan and GEMM loops round differently from
+the others'; the log digests use none of these. On another platform the
+float results may legitimately differ in the last bit, so the tests skip
+and name the platform they found. The digests change only in a change
+whose notes say that its artifacts change, and why.
 """
 
+import ctypes
 import hashlib
 import subprocess
 from unittest import mock
@@ -18,12 +22,38 @@ from calibkit import _bulk, training
 from calibkit.cli import run_cli
 
 
-def _platform():
+def _build():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return np.__version__, blas.get("name"), blas.get("version")
 
 
-PINNED_PLATFORM = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
+def _dispatch_targets():
+    """numpy's SIMD dispatch targets that this CPU and
+    NPY_DISABLE_CPU_FEATURES leave enabled."""
+    return tuple(np.show_config(mode="dicts")["SIMD Extensions"].get("found", ()))
+
+
+def _openblas_core():
+    """The core whose kernels the loaded OpenBLAS runs (OPENBLAS_CORETYPE
+    may set it), found beside the thread-count functions that training
+    pins; None for another BLAS."""
+    threads = training._openblas_threads()
+    if threads is None:
+        return None
+    name = threads[0].__name__.replace("get_num_threads", "get_corename")
+    corename = getattr(training._numpy_library(), name, None)
+    if corename is None:
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _platform():
+    return (*_build(), _dispatch_targets(), _openblas_core())
+
+
+PINNED_BUILD = ("2.4.6", "scipy-openblas", "0.3.31.188.0")
+PINNED_PLATFORM = (*PINNED_BUILD, ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"), "SkylakeX")
 
 EXPERIMENT_DIGESTS = {
     "comparison.md": "1779f87ea84afe4037891af8fa867f523e90748bc5fcb92ea56d288a398cfdcb",
@@ -79,8 +109,13 @@ LOG_COMMANDS = {
 }
 
 pytestmark = pytest.mark.skipif(
+    _build() != PINNED_BUILD,
+    reason=f"digests pinned on numpy/BLAS {PINNED_BUILD}, found {_build()}",
+)
+pinned_platform = pytest.mark.skipif(
     _platform() != PINNED_PLATFORM,
-    reason=f"digests pinned on numpy/BLAS {PINNED_PLATFORM}, found {_platform()}",
+    reason=f"training digests pinned on numpy/BLAS/dispatch/core {PINNED_PLATFORM}, "
+           f"found {_platform()}",
 )
 
 
@@ -91,6 +126,7 @@ def _digests(root):
     }
 
 
+@pinned_platform
 @pytest.mark.parametrize("args, expected", [
     (["experiment", "--seed", "0"], EXPERIMENT_DIGESTS),
     (WIDE_ARGS, WIDE_DIGESTS),
@@ -102,6 +138,7 @@ def test_artifacts_match_pinned_digests(tmp_path, capsys, args, expected):
     assert _digests(out) == expected
 
 
+@pinned_platform
 def test_wide_artifacts_hold_whatever_the_callers_blas_threads(tmp_path, capsys):
     """One OpenBLAS thread and three round the wide batches' matmuls
     differently, yet both callers get the pinned bytes back, and their

@@ -159,7 +159,7 @@ MUTANTS = [
            "test_compare_report_with_bad_metric_value[accuracy-True]"),
     Mutant("split-bytes-zero", "_bulk.py",
            "SPLIT_BYTES = 32 << 20", "SPLIT_BYTES = 0",
-           "tests/test_data.py::TestResume::test_a_late_fault_resumes_at_its_block[malformed]"),
+           "tests/test_data.py::TestSplitRoute::test_no_helper_starts[a small log]"),
     Mutant("svg-curve-colour", "reporting.py",
            '_CURVE_COLOR = "#d62728"', '_CURVE_COLOR = "#d62729"',
            "tests/test_golden.py::test_artifacts_match_pinned_digests[experiment-seed0]"),
@@ -200,6 +200,20 @@ MUTANTS = [
     Mutant("nll-grad-not-divided-by-n", "losses.py",
            "    grad /= n\n", "",
            "tests/test_acceptance.py::test_criterion_2_gradients_match_finite_differences"),
+    # The JSONL bulk route: its block copy and its split with a helper.
+    Mutant("bulk-blocks-copied-out-of-order", "data.py",
+           "values = blocks.pop()", "values = blocks.pop(0)",
+           "tests/test_data.py::TestBulkRoute::test_a_log_longer_than_one_block"),
+    Mutant("split-point-mid-line", "_bulk.py",
+           "    fh.readline()\n    cut = fh.tell()\n", "    cut = fh.tell()\n",
+           "tests/test_data.py::TestSplitRoute::test_the_helper_parses_the_tail"),
+    Mutant("helper-tail-takes-short-output", "_bulk.py",
+           "len(out) == 8 + n * (k + 1) * 8", "len(out) >= 8",
+           "tests/test_data.py::TestSplitRoute::"
+           "test_a_failed_helper_leaves_the_tail_to_this_process[short-output]"),
+    Mutant("helper-not-killed", "_bulk.py",
+           "                helper.kill()\n", "",
+           "tests/test_data.py::TestSplitRoute::test_a_helper_still_running_is_killed[interrupt]"),
     # The lazy export table, the entries' one-thread default and the flag map.
     Mutant("export-under-wrong-submodule", "__init__.py",
            '"reporting": "comparison_table', '"kernels": "comparison_table',
