@@ -8,6 +8,9 @@ Subcommands:
 * ``diagram``    — reliability diagram from a prediction log
 * ``experiment`` — vanilla / curriculum / fixed arms from one seed + table
 
+``train`` is the one-arm run of the pipeline that ``experiment`` runs with
+three arms, :func:`_run_arms`.
+
 Every output directory gets a ``run.json`` manifest holding the fully
 resolved configuration (without output paths, so reruns into different
 directories stay byte-comparable); standalone SVG outputs get a manifest
@@ -50,9 +53,7 @@ _FLAGS = {
 
 
 def _parse_gamma(text: str):
-    if text.lower() == "auto":
-        return None
-    return float(text)  # ValueError -> argparse usage error
+    return None if text.lower() == "auto" else float(text)  # ValueError: a usage error
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -87,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     data = common.add_argument_group("data")
-    data.add_argument("--data", choices=["synth"], default="synth")
     data.add_argument("--classes", type=int, default=4)
     data.add_argument("--per-class", type=int, default=500)
     data.add_argument("--dim", type=int, default=8)
@@ -119,10 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, metavar="DIR")
     p_train.set_defaults(func=_cmd_train)
 
-    p_eval = sub.add_parser("eval", help="score an external prediction log")
-    p_eval.add_argument("--predictions", required=True, metavar="FILE")
-    p_eval.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p_eval.add_argument("--bins", type=int, default=15, metavar="M")
+    log = argparse.ArgumentParser(add_help=False)
+    log.add_argument("--predictions", required=True, metavar="FILE")
+    log.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    log.add_argument("--bins", type=int, default=15, metavar="M")
+
+    p_eval = sub.add_parser("eval", parents=[log], help="score an external prediction log")
     p_eval.add_argument("--diagram", metavar="OUT.svg")
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -130,10 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("run_dirs", nargs="+", metavar="RUN_DIR")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_dia = sub.add_parser("diagram", help="reliability diagram from a log")
-    p_dia.add_argument("--predictions", required=True, metavar="FILE")
-    p_dia.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p_dia.add_argument("--bins", type=int, default=15, metavar="M")
+    p_dia = sub.add_parser("diagram", parents=[log], help="reliability diagram from a log")
     p_dia.add_argument("--out", required=True, metavar="OUT.svg")
     p_dia.set_defaults(func=_cmd_diagram)
 
@@ -154,11 +153,11 @@ def _prepare_splits(args, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     return split(dataset, SplitSpec(ratios=args.split, seed=seed))
 
 
-def _resolve_config(args, seed: int, mode: TrainingMode, train_set: Dataset,
+def _resolve_config(args, seed: int, train_set: Dataset,
                     val_set: Dataset) -> tuple[TrainConfig, str]:
-    """The run's config, checked before any training, and its gamma's
-    source: 'auto' sets gamma_e to balance the epoch-0 losses of a
-    one-epoch vanilla pass of the same run."""
+    """The run's vanilla config, checked before any training, and its
+    gamma's source: 'auto' sets gamma_e to balance the epoch-0 losses of a
+    one-epoch pass of that config."""
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -168,35 +167,37 @@ def _resolve_config(args, seed: int, mode: TrainingMode, train_set: Dataset,
                         s_e=args.se, total_epochs=args.epochs,
                         m_train=args.bins_train,
                         indicator_variant=_VARIANTS[args.variant]),
-        mode=mode,
+        mode=TrainingMode.VANILLA_NLL,
         hidden_dim=args.hidden_dim,
         eval_bins=args.bins_eval,
     )
     if args.gamma is not None:
         return config, "explicit"
-    warm = replace(config, epochs=1, mode=TrainingMode.VANILLA_NLL,
-                   loss=replace(config.loss, s_e=0, total_epochs=1))
-    first = train(train_set, val_set, warm)[1].epochs[0]
-    loss = replace(config.loss, gamma_e=auto_gamma(first.nll, first.soft_ece))
-    return replace(config, loss=loss), "auto"
+    warm = replace(config, epochs=1, loss=replace(config.loss, s_e=0, total_epochs=1))
+    try:
+        first = train(train_set, val_set, warm)[1].epochs[0]
+        gamma_e = auto_gamma(first.nll, first.soft_ece)
+    except DomainError as exc:  # the user asked for no such run: name the pass
+        raise DomainError(f"auto-gamma warm pass: {exc}") from None
+    return replace(config, loss=replace(config.loss, gamma_e=gamma_e)), "auto"
 
 
-def _manifest(args, *, command: str, seed: int, mode: str | None,
-              gamma_value: float, gamma_source: str) -> dict:
+def _manifest(args, command: str, config: TrainConfig, gamma_source: str) -> dict:
+    """A run's manifest; ``train.mode`` is None, and each arm's names its mode."""
     return {
         "version": __version__,
         "command": command,
-        "seed": seed,
+        "seed": config.seed,
         "data": {
-            "source": args.data,
+            "source": "synth",
             "classes": args.classes,
             "per_class": args.per_class,
             "dim": args.dim,
             "overlap": args.overlap,
         },
-        "split": {"ratios": list(args.split), "seed": seed},
+        "split": {"ratios": list(args.split), "seed": config.seed},
         "train": {
-            "mode": mode,
+            "mode": None,
             "epochs": args.epochs,
             "batch_size": args.batch_size,
             "learning_rate": args.lr,
@@ -204,7 +205,7 @@ def _manifest(args, *, command: str, seed: int, mode: str | None,
             "eval_bins": args.bins_eval,
         },
         "loss": {
-            "gamma_e": gamma_value,
+            "gamma_e": config.loss.gamma_e,
             "gamma_source": gamma_source,
             "s_e": args.se,
             "m_train": args.bins_train,
@@ -250,20 +251,30 @@ def _write_arm(args, trained, test_set: Dataset, out_dir: Path,
     return test_report, test_ece
 
 
-def _cmd_train(args) -> int:
+def _run_arms(args, command: str, modes: list[TrainingMode],
+              out_dirs: list[Path]) -> tuple[dict, list]:
+    """Train one arm per mode on one seed's splits and config, in one
+    stacked loop, and write arm i's artifacts to ``out_dirs[i]``. Returns
+    the run's manifest and one (mode name, test report, test ECE) per arm."""
     seed = _resolve_seed(args.seed)
     train_set, val_set, test_set = _prepare_splits(args, seed)
-    config, gamma_source = _resolve_config(args, seed, TrainingMode.from_name(args.mode),
-                                           train_set, val_set)
-    gamma_value = config.loss.gamma_e
-    out_dir = Path(args.out)
-    manifest = _manifest(args, command="train", seed=seed, mode=args.mode,
-                         gamma_value=gamma_value, gamma_source=gamma_source)
-    trained = train(train_set, val_set, config)
+    config, gamma_source = _resolve_config(args, seed, train_set, val_set)
+    arms = train_arms(train_set, val_set, [replace(config, mode=mode) for mode in modes])
     del train_set, val_set  # only the test split is needed from here on
-    test_report, test_ece = _write_arm(args, trained, test_set, out_dir, manifest)
-    print(f"mode: {args.mode}")
-    print(f"gamma_e: {gamma_value:.6f} ({gamma_source})")
+    manifest = _manifest(args, command, config, gamma_source)
+    entries = []
+    for mode, trained, out_dir in zip(modes, arms, out_dirs):
+        arm_manifest = {**manifest, "train": {**manifest["train"], "mode": mode.value}}
+        entries.append((mode.value, *_write_arm(args, trained, test_set, out_dir, arm_manifest)))
+    return manifest, entries
+
+
+def _cmd_train(args) -> int:
+    out_dir = Path(args.out)
+    manifest, [(mode, test_report, test_ece)] = _run_arms(
+        args, "train", [TrainingMode.from_name(args.mode)], [out_dir])
+    print(f"mode: {mode}")
+    print(f"gamma_e: {manifest['loss']['gamma_e']:.6f} ({manifest['loss']['gamma_source']})")
     print(f"test accuracy: {test_report.accuracy:.4f}")
     print(f"test ece (M = {args.bins_eval}): {test_ece:.6f}")
     print(f"artifacts: {out_dir}")
@@ -346,28 +357,16 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    seed = _resolve_seed(args.seed)
-    train_set, val_set, test_set = _prepare_splits(args, seed)
-    modes = list(TrainingMode)  # vanilla, curriculum, fixed
-    config, gamma_source = _resolve_config(args, seed, modes[0], train_set, val_set)
-    gamma_value = config.loss.gamma_e
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    arms = train_arms(train_set, val_set, [replace(config, mode=mode) for mode in modes])
-    del train_set, val_set  # only the test split is needed from here on
-    entries = []
-    for mode, trained in zip(modes, arms):
-        name = mode.value
-        manifest = _manifest(args, command="experiment", seed=seed, mode=name,
-                             gamma_value=gamma_value, gamma_source=gamma_source)
-        test_report, test_ece = _write_arm(args, trained, test_set, out_dir / name, manifest)
-        entries.append((name, test_report, test_ece))
+    modes = list(TrainingMode)  # vanilla, curriculum, fixed
+    manifest, entries = _run_arms(args, "experiment", modes,
+                                  [out_dir / mode.value for mode in modes])
+    for name, test_report, test_ece in entries:
         print(f"{name}: accuracy {test_report.accuracy:.4f}, ece {test_ece:.6f}")
     table_md = comparison_table(entries)
     (out_dir / "comparison.md").write_text(table_md, encoding="utf-8", newline="\n")
-    _write_json(out_dir / "run.json", _manifest(
-        args, command="experiment", seed=seed, mode=None,
-        gamma_value=gamma_value, gamma_source=gamma_source))
+    _write_json(out_dir / "run.json", manifest)
     print(table_md, end="")
     return 0
 

@@ -46,6 +46,13 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0, 1.0 / d, e / d)
 
 
+def smoothed_indicator(q):
+    """sigmoid(tan(pi*q - pi/2)) of q clamped to [EPSILON, 1-EPSILON], and the tangent."""
+    qc = np.minimum(np.maximum(q, EPSILON), 1.0 - EPSILON)
+    t = np.tan(np.pi * qc - 0.5 * np.pi)
+    return _sigmoid(t), t
+
+
 def bin_indices(conf: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin index per sample: count of interior edges strictly below conf."""
     return edges.searchsorted(conf, side="left").astype(np.int64, copy=False)
@@ -92,9 +99,7 @@ def soft_ece_backward(probs, labels, edges, use_true_q):
     conf = flat[at_pred]
     at_q = offsets + labels if use_true_q else at_pred
     q = flat[at_q] if use_true_q else conf
-    qc = np.minimum(np.maximum(q, EPSILON), 1.0 - EPSILON)
-    t = np.tan(np.pi * qc - 0.5 * np.pi)
-    g = _sigmoid(t)
+    g, t = smoothed_indicator(q)
     # batch s owns bins s*M .. s*M + M-1
     ids = bin_indices(conf, edges) + n_bins * np.arange(n_stack)[:, None]
     gsum = np.bincount(ids.ravel(), weights=g.ravel(), minlength=n_stack * n_bins)

@@ -22,14 +22,13 @@ rule of :mod:`calibkit.errors` and probabilities are checked as in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, _class_labels, _count, _float_array, _real
-from .kernels import EPSILON, bin_edges, row_offsets, soft_ece_backward
+from .kernels import EPSILON, bin_edges, row_offsets, smoothed_indicator, soft_ece_backward
 from .metrics import Predictions
 
 
@@ -116,12 +115,7 @@ def soft_indicator(p: float) -> float:
     Total on [0, 1]: ``p`` is clamped to [EPSILON, 1-EPSILON] before the
     tangent, so the endpoints map to finite values just shy of 0 and 1.
     """
-    q = min(max(p, EPSILON), 1.0 - EPSILON)
-    t = math.tan(math.pi * q - 0.5 * math.pi)
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+    return float(smoothed_indicator(p)[0])
 
 
 def soft_ece(probs, labels, n_bins: int,

@@ -1,9 +1,17 @@
 """End-to-end command-line behavior: artifacts, output text, exit codes."""
 
+import contextlib
+import io
+import itertools
 import json
+import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from calibkit import __version__, cli
 from calibkit.cli import run_cli
@@ -318,6 +326,19 @@ class TestExperiment:
         assert caught == []
         assert not any(p.is_dir() for p in out_dir.iterdir())
 
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_a_diverging_warm_pass_is_named_as_the_warm_pass(self, tmp_path, capfd, command):
+        args = [command, "--lr", "1e308", "--classes", "3", "--per-class", "5", "--dim", "3",
+                "--epochs", "4", "--hidden-dim", "2", "--batch-size", "4",
+                "--out", str(tmp_path / "run")]
+        if command == "train":
+            args += ["--mode", "curriculum"]
+        assert run_cli(args) == 1
+        assert capfd.readouterr().err == (
+            "error: auto-gamma warm pass: vanilla run diverged on the validation set after "
+            "epoch 0: non-finite logits (ece weight 0.0, learning rate 1e+308)\n")
+        assert not list(tmp_path.rglob("run.json"))
+
 
 class TestUsage:
     def test_version_flag(self, capsys):
@@ -335,6 +356,9 @@ class TestUsage:
 
     def test_bad_split_ratios(self, capsys):
         assert run_cli(["train", "--split", "0.5,0.5", "--out", "x"]) == 2
+
+    def test_the_data_source_is_not_a_flag(self, capsys):
+        assert run_cli(["train", "--data", "synth", "--out", "x"]) == 2
 
     @pytest.mark.parametrize("command", ["train", "experiment"])
     @pytest.mark.parametrize("flag, value, field", [
@@ -400,3 +424,67 @@ class TestUsage:
             args = train_args(tmp_path / "run", *argv)
         assert run_cli(args) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
+
+
+# Every flag of the four commands that take flag values, the base argv each
+# value replaces (a tiny valid run: at most 2 epochs and 20 rows per class),
+# and the flags whose value is a path, which an error names by the path.
+RUN_FLAGS = ["--classes", "--per-class", "--dim", "--overlap", "--split", "--gamma", "--se",
+             "--epochs", "--lr", "--batch-size", "--hidden-dim", "--bins-train",
+             "--bins-eval", "--variant", "--seed", "--out"]
+LOG_FLAGS = ["--predictions", "--format", "--bins"]
+COMMAND_FLAGS = {"train": [*RUN_FLAGS, "--mode"], "experiment": RUN_FLAGS,
+                 "eval": [*LOG_FLAGS, "--diagram"], "diagram": [*LOG_FLAGS, "--out"]}
+RUN_BASE = {"--classes": "3", "--per-class": "20", "--dim": "3", "--epochs": "2",
+            "--batch-size": "16", "--hidden-dim": "2", "--seed": "0", "--out": "run"}
+BASE = {"train": {**RUN_BASE, "--mode": "curriculum"}, "experiment": RUN_BASE,
+        "eval": {"--predictions": "p.jsonl", "--diagram": "rel.svg"},
+        "diagram": {"--predictions": "p.jsonl", "--out": "rel.svg"}}
+PATH_FLAGS = {"--out", "--predictions", "--diagram"}
+VALUES = ["0", "-1", "2.5", "nan", "inf", "1e308", "True", "", "x" * 300]
+
+
+@st.composite
+def argvs(draw):
+    """(argv, {flag: value}) with one or two flags of a command set to a drawn value."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    names = draw(st.permutations(COMMAND_FLAGS[command]))[:draw(st.integers(1, 2))]
+    changed = {flag: draw(st.sampled_from(VALUES)) for flag in names}
+    flags = {**BASE[command], **changed}
+    return [command, *itertools.chain.from_iterable(flags.items())], changed
+
+
+def _names_a_changed_flag(line, changed):
+    """The line names a changed flag, or ends with the path a path flag was given."""
+    paths = [str(Path(value)) for flag, value in changed.items() if flag in PATH_FLAGS]
+    return (any(f"{flag}: " in line for flag in changed)
+            or any(line.endswith((f": {path}", f": {path!r}")) for path in paths))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_any_flag_value_exits_0_1_or_2_and_a_fault_names_its_flag(case):
+    argv, changed = case
+    cwd = os.getcwd()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write_two_record_log(Path("p.jsonl"))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    event(f"exit {code}")
+    if code != 1:
+        return
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and "error: " in lines[0], lines
+    line = lines[0]
+    # --epochs fails as the loss's total_epochs before TrainConfig checks epochs.
+    assert not line.startswith("error: epochs ")
+    if "run diverged" in line:  # a run fault: it names the learning rate
+        assert "learning rate" in line
+    else:
+        assert _names_a_changed_flag(line, changed), (line, changed)

@@ -240,6 +240,26 @@ MUTANTS = [
     Mutant("load-log-skips-the-count-check", "cli.py",
            '    _count(args.bins, "bin count", 1)\n', "",
            "tests/test_cli.py::TestEval::test_bad_bins_fails_before_the_log_is_parsed[eval]"),
+    # The one train/experiment pipeline and its warm-pass message.
+    Mutant("arm-manifest-keeps-mode-null", "cli.py",
+           '"train": {**manifest["train"], "mode": mode.value}',
+           '"train": {**manifest["train"], "mode": None}',
+           "tests/test_cli.py::TestTrain::test_manifest_records_the_configuration"),
+    Mutant("arm-out-dirs-reversed", "cli.py",
+           "zip(modes, arms, out_dirs)", "zip(modes, arms, out_dirs[::-1])",
+           "tests/test_cli.py::TestExperiment::test_three_arms_plus_comparison"),
+    Mutant("warm-pass-unnamed", "cli.py",
+           'raise DomainError(f"auto-gamma warm pass: {exc}") from None',
+           'raise DomainError(f"{exc}") from None',
+           "tests/test_cli.py::TestExperiment::"
+           "test_a_diverging_warm_pass_is_named_as_the_warm_pass[train]"),
+    # The soft-ECE Jacobian: the confidence term, and softmax's backward.
+    Mutant("jacobian-drops-the-confidence-term", "kernels.py",
+           "    dflat[at_pred] -= s\n", "",
+           "tests/test_acceptance.py::test_criterion_2_gradients_match_finite_differences"),
+    Mutant("jacobian-softmax-backward-reversed", "kernels.py",
+           "probs * (dprobs - inner[..., None])", "probs * (inner[..., None] - dprobs)",
+           "tests/test_acceptance.py::test_criterion_2_gradients_match_finite_differences"),
 ]
 
 
