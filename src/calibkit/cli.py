@@ -31,7 +31,7 @@ if __name__ == "__main__":  # python -m calibkit.cli: before numpy loads, as in 
 
 from . import __version__
 from .data import Dataset, LogFormat, SplitSpec, gen_synthetic, load_predictions, split
-from .errors import DomainError, _count, _real
+from .errors import DomainError, _count, _path, _real
 from .losses import IndicatorVariant, LossConfig, auto_gamma, softmax
 from .metrics import ClassificationReport, Predictions, build_reliability_table
 from .reporting import comparison_table, render_reliability_svg, save_predictions
@@ -48,7 +48,8 @@ _FLAGS = {
     "ratios": "--split", "seed": "--seed", "total_epochs": "--epochs",
     "batch_size": "--batch-size", "learning_rate": "--lr", "hidden_dim": "--hidden-dim",
     "eval_bins": "--bins-eval", "m_train": "--bins-train", "gamma_e": "--gamma", "s_e": "--se",
-    "bin count": "--bins",
+    "bin count": "--bins", "predictions": "--predictions", "diagram": "--diagram",
+    "out": "--out", "run_dir": "RUN_DIR",
 }
 
 
@@ -270,7 +271,7 @@ def _run_arms(args, command: str, modes: list[TrainingMode],
 
 
 def _cmd_train(args) -> int:
-    out_dir = Path(args.out)
+    out_dir = _path(args.out, "out")
     manifest, [(mode, test_report, test_ece)] = _run_arms(
         args, "train", [TrainingMode.from_name(args.mode)], [out_dir])
     print(f"mode: {mode}")
@@ -284,10 +285,12 @@ def _cmd_train(args) -> int:
 def _load_log(args) -> Predictions:
     """The log named by ``--predictions``; a bad ``--bins`` fails before the parse."""
     _count(args.bins, "bin count", 1)
-    return load_predictions(args.predictions, LogFormat.from_name(args.format))
+    return load_predictions(_path(args.predictions, "predictions"),
+                            LogFormat.from_name(args.format))
 
 
 def _cmd_eval(args) -> int:
+    diagram = None if args.diagram is None else _path(args.diagram, "diagram")
     preds = _load_log(args)
     report, ece_value, table = evaluate(preds, args.bins)
     print(f"n: {preds.labels.shape[0]}")
@@ -296,14 +299,15 @@ def _cmd_eval(args) -> int:
     print(f"macro_recall: {report.macro_recall:.4f}")
     print(f"macro_f1: {report.macro_f1:.4f}")
     print(f"ece (M = {args.bins}): {ece_value:.6f}")
-    if args.diagram:
-        _write_diagram(args, table, Path(args.diagram), "eval")
+    if diagram is not None:
+        _write_diagram(args, table, diagram, "eval")
     return 0
 
 
 def _cmd_diagram(args) -> int:
+    out = _path(args.out, "out")
     preds = _load_log(args)
-    _write_diagram(args, build_reliability_table(preds, args.bins), Path(args.out), "diagram")
+    _write_diagram(args, build_reliability_table(preds, args.bins), out, "diagram")
     return 0
 
 
@@ -329,7 +333,8 @@ def _metric(section: dict, name: str, where: str = "") -> float:
 def _cmd_compare(args) -> int:
     entries = []
     for run_dir in args.run_dirs:
-        path = Path(run_dir) / "report.json"
+        run_path = _path(run_dir, "run_dir")
+        path = run_path / "report.json"
         if not path.is_file():
             raise DomainError(f"no report.json under {run_dir}")
         try:
@@ -351,13 +356,13 @@ def _cmd_compare(args) -> int:
                 f"report.json under {run_dir} is not a calibkit report "
                 f"({type(exc).__name__}: {exc})"
             ) from None
-        entries.append((Path(run_dir).name, report, test_ece))
+        entries.append((run_path.name, report, test_ece))
     print(comparison_table(entries), end="")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    out_dir = Path(args.out)
+    out_dir = _path(args.out, "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     modes = list(TrainingMode)  # vanilla, curriculum, fixed
     manifest, entries = _run_arms(args, "experiment", modes,

@@ -20,12 +20,14 @@ A JSONL log takes one of two routes, with bit-identical results:
   is a canonical row, exactly as ``save_predictions`` and ``json.dumps``
   write it: ``{"probs": [N, ..., N], "label": L}`` with K non-negative
   JSON numbers and a LF ending. The punctuation is then cut out and all
-  numbers of a block parse in one C call, correctly rounded like
-  ``float``, into a (rows, K+1) float64 array, the label last. This
-  route exists for speed: a ``json.loads`` per row, with its dict, list
-  and Python floats, costs about three times as much as parsing the
-  decimals. A log of at least 32 MiB on two or more CPUs has its tail
-  read by a helper process; see :mod:`calibkit._bulk`.
+  numbers of a block parse at once, each to the float64 that ``float``
+  gives, into a (rows, K+1) float64 array, the label last: an exact
+  vectorized kernel in extended precision reads nearly every token, and
+  ``float`` reads the few near a rounding midpoint. This route exists
+  for speed: a ``json.loads`` per row, with its dict, list and Python
+  floats, costs about three times as much as parsing the decimals. A log
+  of at least 32 MiB on two or more CPUs has its tail read by a forked
+  child when this process has one thread; see :mod:`calibkit._bulk`.
 * The per-line route (:func:`_load_rows`) parses each line with
   ``json.loads`` and reads any JSON the format allows. It reads the
   whole log, from line 1, when any line is not canonical (other spacing

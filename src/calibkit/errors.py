@@ -1,10 +1,12 @@
-"""Exception types, and the four input rules that every boundary applies:
+"""Exception types, and the five input rules that every boundary applies:
 labels (:func:`_class_labels`), arrays (:func:`_float_array`), counts
-(:func:`_count`) and scalars (:func:`_real`). Input that breaks a rule stops
-with a :class:`DomainError` that names the field."""
+(:func:`_count`), scalars (:func:`_real`) and the CLI's paths
+(:func:`_path`). Input that breaks a rule stops with a
+:class:`DomainError` that names the field."""
 
 import math
 import numbers
+from pathlib import Path
 
 import numpy as np
 
@@ -127,3 +129,13 @@ def _real(value, name: str, positive: bool = False) -> float:
     if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
         raise DomainError(f"{name} must be finite and {bound}, got {value}", field=name)
     return x
+
+
+def _path(value, field: str) -> Path:
+    """``value`` as a Path: the one path rule. A non-empty str without a
+    NUL passes; "" (which Path reads as ".") and a NUL, which no file
+    name can hold, do not."""
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise DomainError(f"{field} must be a non-empty path without a NUL, got {value!r}",
+                          field=field)
+    return Path(value)

@@ -98,6 +98,18 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err == "error: --bins: bin count must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("value", ["", "a\0b"], ids=["empty", "NUL"])
+    @pytest.mark.parametrize("flag", ["--predictions", "--diagram"])
+    def test_a_bad_path_is_named_before_the_log_is_parsed(self, tmp_path, capsys, flag, value):
+        """An empty --diagram is no longer taken as no diagram, and a NUL
+        is never printed raw."""
+        flags = {"--predictions": str(write_two_record_log(tmp_path / "p.jsonl")),
+                 "--diagram": str(tmp_path / "rel.svg"), flag: value}
+        assert run_cli(["eval", *itertools.chain.from_iterable(flags.items())]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {flag}: ") and "\0" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "p.jsonl"]
+
     def test_csv_format_flag(self, tmp_path, capsys):
         log = tmp_path / "p.csv"
         log.write_text("p0,p1,label\n0.9,0.1,0\n0.2,0.8,1\n")
@@ -412,14 +424,23 @@ class TestUsage:
         (["--gamma", "-1"], "--gamma: gamma_e must be finite and non-negative, got -1.0"),
         (["--se", "3"], "--se: s_e must satisfy 0 <= s_e < total_epochs, got 3"),
         (["--bins", "0"], "--bins: bin count must be >= 1, got 0"),
+        (["--predictions", ""], "--predictions: predictions must be a non-empty path without a "
+                                "NUL, got ''"),
+        (["--diagram", ""], "--diagram: diagram must be a non-empty path without a NUL, got ''"),
+        (["--out", "run\0"], "--out: out must be a non-empty path without a NUL, "
+                              "got 'run\\x00'"),
+        (["RUN_DIR", "a\0b"], "RUN_DIR: run_dir must be a non-empty path without a NUL, "
+                               "got 'a\\x00b'"),
     ]
 
     @pytest.mark.parametrize("argv, line", FLAG_ERRORS, ids=[a[0] for a, _ in FLAG_ERRORS])
     def test_errors_name_the_flag(self, tmp_path, capsys, argv, line):
         assert {a[0] for a, _ in self.FLAG_ERRORS} == set(cli._FLAGS.values())
-        if argv[0] == "--bins":
+        if argv[0] in ("--bins", "--predictions", "--diagram"):
             args = ["eval", "--predictions", str(write_two_record_log(tmp_path / "p.jsonl")),
                     *argv]
+        elif argv[0] == "RUN_DIR":
+            args = ["compare", *argv[1:]]
         else:
             args = train_args(tmp_path / "run", *argv)
         assert run_cli(args) == 1
@@ -441,7 +462,7 @@ BASE = {"train": {**RUN_BASE, "--mode": "curriculum"}, "experiment": RUN_BASE,
         "eval": {"--predictions": "p.jsonl", "--diagram": "rel.svg"},
         "diagram": {"--predictions": "p.jsonl", "--out": "rel.svg"}}
 PATH_FLAGS = {"--out", "--predictions", "--diagram"}
-VALUES = ["0", "-1", "2.5", "nan", "inf", "1e308", "True", "", "x" * 300]
+VALUES = ["0", "-1", "2.5", "nan", "inf", "1e308", "True", "", "x" * 300, "p.jsonl\0"]
 
 
 @st.composite

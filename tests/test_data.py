@@ -1,12 +1,17 @@
 """Synthetic data generation, splitting, and prediction-log parsing."""
 
-import io
+import ast
+import decimal
 import math
 import os
 import re
+import select
 import signal
+import struct
 import subprocess
 import sys
+import threading
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -392,27 +397,56 @@ LINE_PERTURBATIONS = {
 }
 
 
-class InProcessHelper:
-    """A stand-in for the helper's Popen that runs the helper program's
-    code, ``_bulk.serve``, in this process when its output is read: the
-    same rows and wire format without an interpreter start. Real helper
-    processes stay in TestSplitRoute and the leak probe."""
+FORK_SERVER = """
+import os, sys
+from calibkit import LogFormat, PredictionLogError, _bulk, data
+_bulk.SPLIT_BYTES = 0
+_bulk.cpus = lambda: 2
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+print(_bulk.threads() == 1, flush=True)
+for request in sys.stdin:
+    path, block = request.rstrip("\\n").split("\\t")
+    _bulk.BLOCK_BYTES = int(block)
+    forks.clear()
+    try:
+        preds = data.load_predictions(path, LogFormat.JSONL)
+        result = preds.probs.tobytes(), preds.labels.tobytes()
+    except PredictionLogError as exc:
+        result = type(exc).__name__, str(exc), exc.line
+    print(repr((result, len(forks))), flush=True)
+"""
 
-    def __init__(self, args, **kwargs):
-        assert args[:2] == [sys.executable, _bulk.__file__]
-        self.args, self.returncode, self.stdout = args[2:], None, io.BytesIO()
 
-    def communicate(self):
-        path, start, k = self.args
-        _bulk.serve(path, int(start), int(k), self.stdout)
-        self.returncode = 0
-        return self.stdout.getvalue(), None
+def src_env(**extra):
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
+    src = Path(data_module.__file__).parents[1]
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
 
-    def kill(self):
-        pass
 
-    def wait(self):
-        return self.returncode
+@pytest.fixture(scope="module")
+def fork_server():
+    """A fresh interpreter with one thread, so that it really forks the
+    child that parses a log's tail: it loads logs with the split forced
+    on. ``load(path, block)`` returns the outcome, with the exception's
+    class by name, and the number of forks; ``can_fork`` says whether
+    the server may fork at all."""
+    server = subprocess.Popen([sys.executable, "-c", FORK_SERVER], stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, text=True,
+                              env=src_env(OPENBLAS_NUM_THREADS="1"))
+
+    def load(path, block):
+        server.stdin.write(f"{path}\t{block}\n")
+        server.stdin.flush()
+        return ast.literal_eval(server.stdout.readline())
+
+    load.can_fork = ast.literal_eval(server.stdout.readline())
+    yield load
+    server.stdin.close()
+    assert server.wait(timeout=60) == 0
+    server.stdout.close()
 
 
 @st.composite
@@ -444,9 +478,11 @@ def canonical_logs(draw):
     "none", "no final LF", *TOKEN_PERTURBATIONS, *LINE_PERTURBATIONS])
 @settings(max_examples=12, deadline=None)
 @given(log=canonical_logs(), data=st.data())
-def test_bulk_route_equals_the_per_line_route(tmp_path_factory, perturbation, log, data):
+def test_bulk_route_equals_the_per_line_route(tmp_path_factory, fork_server, perturbation,
+                                              log, data):
     """Byte-identical arrays, or the same error on the same line, whether a
-    canonical log carries one perturbed line or none."""
+    canonical log carries one perturbed line or none, and whether a forked
+    child parses its tail or not."""
     k, rows = log
     lines = [canonical_line(tokens, b"%d" % label) for _, tokens, label in rows]
     at = data.draw(st.integers(0, len(rows) - 1))
@@ -474,12 +510,13 @@ def test_bulk_route_equals_the_per_line_route(tmp_path_factory, perturbation, lo
         assert_routes_agree(path)
         if perturbation in ("none", "no final LF"):
             assert _load_canonical_jsonl(path) is not None
-        # A helper parses the tail of any log with a line after its midpoint.
-        # It runs here, so no example pays for an interpreter start.
-        with mock.patch("calibkit._bulk.SPLIT_BYTES", 0), \
-                mock.patch("calibkit._bulk.cpus", lambda: 2), \
-                mock.patch("subprocess.Popen", InProcessHelper):
-            assert outcome(load_predictions, path) == outcome(_load_rows, path)
+    # A child parses the tail of any log with a line after its midpoint.
+    want = outcome(_load_rows, path)
+    if isinstance(want[0], type):
+        want = (want[0].__name__, *want[1:])
+    split = any(len(body) // 2 <= i + 1 < len(body) for i, byte in enumerate(body)
+                if byte == ord("\n"))
+    assert fork_server(path, block) == (want, int(split and fork_server.can_fork))
 
 
 def write_long_log(path, n, k=10, seed=0):
@@ -559,6 +596,103 @@ class TestBulkRoute:
         """pyproject.toml allows Python 3.10, whose re has no atomic groups
         and no possessive quantifiers."""
         assert re.search(rb"\(\?>|[*+?}]\+", _bulk.canonical_row(k).pattern) is None
+
+
+# -- The number kernel -----------------------------------------------------------
+
+
+def as_double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# The repr of a finite non-negative float64 from any binade, subnormals included.
+FLOAT64_TOKENS = st.integers(0, 0x7FEFFFFFFFFFFFFF).map(lambda bits: repr(as_double(bits)))
+
+
+@st.composite
+def decimal_tokens(draw):
+    """A JSON number with up to 22 integer and 24 fraction digits and an
+    exponent up to +-330, with leading zeros."""
+    digits = "0123456789"
+    whole = draw(st.one_of(st.just("0"), st.builds(
+        str.__add__, st.sampled_from(digits[1:]), st.text(digits, max_size=21))))
+    fraction = draw(st.one_of(st.just(""), st.text(digits, min_size=1, max_size=24).map(
+        lambda text: "." + text)))
+    exponent = draw(st.one_of(st.just(""), st.builds(
+        "{}{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["", "0", "00"]), st.integers(0, 330))))
+    return whole + fraction + exponent
+
+
+@st.composite
+def near_midpoint_tokens(draw):
+    """A decimal of 16-20 significant digits within a few units of its last
+    digit from the midpoint of two adjacent doubles."""
+    low = as_double(draw(st.integers(0, 0x7FEFFFFFFFFFFFFE)))
+    with decimal.localcontext(decimal.Context(prec=2000)):
+        mid = (decimal.Decimal(low) + decimal.Decimal(math.nextafter(low, math.inf))) / 2
+        exponent = mid.adjusted() - draw(st.integers(16, 20)) + 1
+        digits = int(mid.scaleb(-exponent).to_integral_value())
+    return f"{max(digits + draw(st.integers(-2, 2)), 0)}e{exponent}"
+
+
+def assert_decimals_equal_float(tokens):
+    """The kernel, and np.fromstring with the kernel's gate off, give the
+    bits of float() for every token."""
+    text = ",".join(tokens).encode()
+    want = np.array([float(t) for t in tokens]).tobytes()
+    assert _bulk.decimals(text).tobytes() == want
+    with mock.patch.object(_bulk, "EXTENDED", False):
+        assert _bulk.decimals(text).tobytes() == want
+
+
+class TestDecimals:
+    @settings(max_examples=100, deadline=None)
+    @given(tokens=st.lists(st.one_of(FLOAT64_TOKENS, decimal_tokens(), near_midpoint_tokens()),
+                           min_size=1, max_size=30))
+    def test_every_token_reads_as_float_reads_it(self, tokens):
+        assert_decimals_equal_float(tokens)
+
+    @pytest.mark.parametrize("tokens", [
+        ["5e-324", "2.2250738585072014e-308", "2.225073858507201e-308", "1e-400", "0e999"],
+        ["1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+         "1e309", "1" + "0" * 400],
+        ["9223372036854775807", "9223372036854775808", "0.00000000000000000000000000001",
+         "1e99999999999999999999", "1e-99999999999999999999", "12345678901234567890.5e-30"],
+        ["9007199254740993", "0.1", "0", "1", "7", "1E+5", "3.5e-07"],
+        # Within 2**-63 of a midpoint, each on the side that x is not.
+        ["1366830208409207323e195", "548730293304757056e187", "3829971363901925021e-75",
+         "3770087443775209427e-8"],
+    ], ids=["bottom", "top", "saturated", "plain", "midpoint"])
+    def test_the_edges_of_the_fast_path(self, tokens):
+        """Subnormal and zero results, the overflow threshold, w past
+        int64, q past the table, a saturated exponent, an exact midpoint
+        (2**53 + 1), and decimals whose x rounds the wrong way."""
+        assert_decimals_equal_float(tokens)
+
+    def test_only_tokens_outside_the_proven_range_go_to_float(self, monkeypatch):
+        """float() reads a token whose result is subnormal, 0 or infinite,
+        whose w saturates, whose q is past the table or whose x lies near
+        a midpoint, and no other."""
+        slow = ["5e-324", "1e-400", "1e309", "9223372036854775808", "1e-343", "0e999999",
+                "9007199254740993", "1366830208409207323e195"]
+        fast = ["0.1", "3.5e-07", "0", "0e308", "2.2250738585072014e-308",
+                "1.7976931348623157e308"]
+        read = []
+        monkeypatch.setattr(_bulk, "float", lambda text: read.append(text) or float(text),
+                            raising=False)
+        assert_decimals_equal_float(slow + fast)
+        assert read == [t.encode() for t in slow] or not _bulk.EXTENDED
+
+    @pytest.mark.skipif(not _bulk.EXTENDED, reason="longdouble is not x86 extended precision")
+    def test_every_power_of_ten_is_the_nearest_longdouble(self):
+        table = _bulk.powers_of_ten()
+        assert table.dtype == np.longdouble and table.size == _bulk.P10_HI - _bulk.P10_LO + 1
+        for q, power in zip(range(_bulk.P10_LO, _bulk.P10_HI + 1), table):
+            exact = Fraction(10) ** q
+            error = abs(Fraction(*power.as_integer_ratio()) - exact)
+            for neighbour in (np.nextafter(power, table[-1] * 10), np.nextafter(power, 0)):
+                assert error <= abs(Fraction(*neighbour.as_integer_ratio()) - exact), q
 
 
 # -- The probability-sum tolerance at its boundary ---------------------------
@@ -652,27 +786,47 @@ class TestFallback:
         assert_routes_agree(path)
 
 
-# -- The split route: a helper parses the tail ---------------------------------
+# -- The split route: a forked child parses the tail ---------------------------
+
+# What a child runs in place of the forked copy of this process.
+SERVE = ("import sys; from calibkit import _bulk; "
+         "_bulk.serve(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.stdout.buffer)")
 
 
-def force_split(monkeypatch, command=None, error=None):
-    """Split every log with a line after its midpoint, and return the list
-    of helpers started. ``command`` replaces the helper's program and
-    ``error`` is raised in place of starting it."""
+def force_split(monkeypatch, code=SERVE, ready=False):
+    """Split every log with a line after its midpoint, with a fake fork:
+    the child is a fresh interpreter with one thread that runs ``code``
+    (by default the child's work, ``_bulk.serve``) with its stdout on the
+    pipe. With ``ready`` the fake returns only once the child has begun
+    to write. Returns {pid: exit code, None until read_log reaps it}.
+    Forking this process itself under pytest would fork it with other
+    threads alive, such as OpenBLAS workers."""
     monkeypatch.setattr(_bulk, "SPLIT_BYTES", 0)
     monkeypatch.setattr(_bulk, "cpus", lambda: 2)
-    started = []
-    popen = subprocess.Popen
+    codes = {}
 
-    def start(args, **kwargs):
-        if error is not None:
-            raise error
-        proc = popen(command or args, **kwargs)
-        started.append(proc)
-        return proc
+    def fork_tail(path, cut, k):
+        r, w = os.pipe()
+        args = [sys.executable, "-c", code, str(path), str(cut), str(k)]
+        pid = os.posix_spawn(sys.executable, args, src_env(OPENBLAS_NUM_THREADS="1"),
+                             file_actions=[(os.POSIX_SPAWN_DUP2, w, 1)])
+        os.close(w)
+        codes[pid] = None
+        if ready:
+            select.select([r], [], [])
+        return pid, open(r, "rb")
 
-    monkeypatch.setattr(subprocess, "Popen", start)
-    return started
+    waitpid = os.waitpid
+
+    def reap(pid, options):
+        reaped, status = waitpid(pid, options)
+        if reaped in codes:
+            codes[reaped] = os.waitstatus_to_exitcode(status)
+        return reaped, status
+
+    monkeypatch.setattr(_bulk, "fork_tail", fork_tail)
+    monkeypatch.setattr(os, "waitpid", reap)
+    return codes
 
 
 def spy_reads(monkeypatch):
@@ -688,14 +842,31 @@ def spy_reads(monkeypatch):
     return stops
 
 
+def spy_blocks(monkeypatch):
+    """A list that grows by one with each block this process parses."""
+    blocks = []
+    parse_block = _bulk.parse_block
+
+    def spy(lines, *args):
+        blocks.append(len(lines))
+        return parse_block(lines, *args)
+
+    monkeypatch.setattr(_bulk, "parse_block", spy)
+    return blocks
+
+
+def no_fork(*args):
+    raise AssertionError("a child was forked")
+
+
 class TestSplitRoute:
-    def test_the_helper_parses_the_tail(self, tmp_path, monkeypatch):
+    def test_the_child_parses_the_tail(self, tmp_path, monkeypatch):
         path = write_long_log(tmp_path / "p.jsonl", 400)
         want = outcome(_load_rows, path)
-        helpers = force_split(monkeypatch)
+        children = force_split(monkeypatch)
         stops = spy_reads(monkeypatch)
         assert outcome(load_predictions, path) == want
-        assert [h.returncode for h in helpers] == [0]
+        assert list(children.values()) == [0]
         # This process read the head alone, up to a line start past the midpoint.
         (cut,) = stops
         body = path.read_bytes()
@@ -711,43 +882,68 @@ class TestSplitRoute:
         """Wherever the fault is, the per-line route parses from line 1."""
         path = with_line(write_long_log(tmp_path / "p.jsonl", 400), at, line)
         want = outcome(_load_rows, path)
-        helpers = force_split(monkeypatch)
+        children = force_split(monkeypatch)
         calls = count_json_loads(monkeypatch)
         assert outcome(load_predictions, path) == want
         assert want[2] == at + 1 and len(calls) == parsed
-        assert len(helpers) == 1 and helpers[0].returncode is not None
+        assert len(children) == 1 and None not in children.values()
 
-    def test_a_declining_helper_leaves_the_tail_unread(self, tmp_path, monkeypatch):
-        """The helper writes -1 for a tail with a line that is not
+    def test_a_declining_child_leaves_the_tail_unread(self, tmp_path, monkeypatch):
+        """The child writes -1 for a tail with a line that is not
         canonical, so this process leaves the tail unread and the per-line
         route reads the whole log."""
         path = with_line(write_long_log(tmp_path / "p.jsonl", 400), 390, SWAPPED)
         want = outcome(_load_rows, path)
-        helpers = force_split(monkeypatch)
+        children = force_split(monkeypatch)
         stops = spy_reads(monkeypatch)
         calls = count_json_loads(monkeypatch)
         assert outcome(load_predictions, path) == want
-        assert [h.returncode for h in helpers] == [0]
+        assert list(children.values()) == [0]
         assert len(stops) == 1 and stops[0] is not None  # the head alone
         assert len(calls) == 400
+
+    def test_a_declined_tail_stops_the_head_at_once(self, tmp_path, monkeypatch):
+        """Between head blocks this process looks at the pipe: once the
+        child has declined its tail, no further head block is parsed."""
+        path = with_line(write_long_log(tmp_path / "p.jsonl", 400), 390, SWAPPED)
+        want = outcome(_load_rows, path)
+        monkeypatch.setattr(_bulk, "BLOCK_BYTES", 4096)  # about 17 lines, 12 head blocks
+        children = force_split(monkeypatch, ready=True)
+        blocks = spy_blocks(monkeypatch)
+        assert _bulk.read_log(path) is None
+        assert blocks == [] and list(children.values()) == [0]
+        assert outcome(load_predictions, path) == want
 
     def test_a_sum_fault_in_the_tail_names_its_line(self, tmp_path, monkeypatch):
         path = with_line(write_long_log(tmp_path / "p.jsonl", 400), 350,
                          canonical_line([b"0.9", b"0.9"] + [b"0"] * 8, b"0"))
         want = outcome(_load_rows, path)
-        helpers = force_split(monkeypatch)
+        children = force_split(monkeypatch)
         monkeypatch.setattr(data_module, "_load_rows", None)  # the per-line route never runs
         assert outcome(load_predictions, path) == want
         assert want[0] is ProbabilitySumError and want[2] == 351
-        assert [h.returncode for h in helpers] == [0]
+        assert list(children.values()) == [0]
 
-    def test_no_helper_starts_and_this_process_parses_the_tail(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_no_child_starts_and_this_process_parses_the_log(self, tmp_path, monkeypatch,
+                                                             call):
+        """An OSError from pipe or fork leaves the whole log to this
+        process, and no file descriptor behind."""
         path = write_long_log(tmp_path / "p.jsonl", 400)
         want = outcome(_load_rows, path)
-        force_split(monkeypatch, error=OSError("no such interpreter"))
+        monkeypatch.setattr(_bulk, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(_bulk, "cpus", lambda: 2)
+        monkeypatch.setattr(_bulk, "threads", lambda: 1)
+
+        def fail():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, call, fail)
         stops = spy_reads(monkeypatch)
+        fds = len(os.listdir("/proc/self/fd"))
         assert outcome(load_predictions, path) == want
-        assert len(stops) == 2 and stops[1] is None
+        assert stops == [None]
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     @pytest.mark.parametrize("code", [
         "import sys; sys.exit(3)",
@@ -755,42 +951,47 @@ class TestSplitRoute:
         "import sys; sys.stdout.buffer.write((-1).to_bytes(8, sys.byteorder, signed=True)"
         " + bytes(8))",
     ], ids=["exit-3", "short-output", "long-decline"])
-    def test_a_failed_helper_leaves_the_tail_to_this_process(self, tmp_path, monkeypatch,
-                                                             code):
+    def test_a_failed_child_leaves_the_tail_to_this_process(self, tmp_path, monkeypatch,
+                                                            code):
         path = write_long_log(tmp_path / "p.jsonl", 400)
         want = outcome(_load_rows, path)
-        helpers = force_split(monkeypatch, command=[sys.executable, "-c", code])
+        children = force_split(monkeypatch, code=code)
         stops = spy_reads(monkeypatch)
         assert outcome(load_predictions, path) == want
         assert len(stops) == 2 and stops[1] is None
-        assert len(helpers) == 1 and helpers[0].returncode is not None
+        assert len(children) == 1 and None not in children.values()
 
     @pytest.mark.parametrize("end", ["interrupt", "non-canonical head"])
-    def test_a_helper_still_running_is_killed(self, tmp_path, monkeypatch, end):
+    def test_a_child_still_running_is_killed(self, tmp_path, monkeypatch, end):
+        """The child is SIGKILLed and reaped when the head's parse raises
+        or declines the log."""
         path = write_long_log(tmp_path / "p.jsonl", 400)
-        helpers = force_split(monkeypatch,
-                              command=[sys.executable, "-c", "import time; time.sleep(30)"])
+        children = force_split(monkeypatch, code="import time; time.sleep(30)")
         if end == "interrupt":
             def interrupted(*args):
                 raise KeyboardInterrupt
 
-            monkeypatch.setattr(_bulk, "read", interrupted)
+            monkeypatch.setattr(_bulk, "parse_block", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 load_predictions(path, LogFormat.JSONL)
         else:
             with_line(path, 10, SWAPPED)
             assert load_predictions(path, LogFormat.JSONL).labels.shape == (400,)
-        assert len(helpers) == 1 and helpers[0].returncode == -signal.SIGKILL
+        [(pid, code)] = children.items()
+        assert code == -signal.SIGKILL
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(pid, os.WNOHANG)
 
     @pytest.mark.parametrize("case", ["one CPU", "CSV", "below the threshold", "a small log"])
-    def test_no_helper_starts(self, tmp_path, monkeypatch, case):
+    def test_no_child_is_forked(self, tmp_path, monkeypatch, case):
         path = write_long_log(tmp_path / "p.jsonl", 400)
         fmt = LogFormat.JSONL
         if case == "CSV":
             fmt = LogFormat.CSV
             save_predictions(load_predictions(path, LogFormat.JSONL), tmp_path / "p.csv", fmt)
             path = tmp_path / "p.csv"
-        force_split(monkeypatch, error=AssertionError("a helper started"))
+        force_split(monkeypatch)
+        monkeypatch.setattr(_bulk, "fork_tail", no_fork)
         if case == "one CPU":
             monkeypatch.setattr(_bulk, "cpus", lambda: 1)
         elif case == "below the threshold":
@@ -799,33 +1000,63 @@ class TestSplitRoute:
             monkeypatch.setattr(_bulk, "SPLIT_BYTES", SPLIT_BYTES)
         assert load_predictions(path, fmt).labels.shape == (400,)
 
-    def test_the_cpu_count_is_positive(self):
+    def test_a_process_with_a_second_thread_forks_nothing(self, tmp_path, monkeypatch):
+        """A thread does not survive a fork, so a process with two reads
+        the whole log itself, and gets the same blocks."""
+        path = write_long_log(tmp_path / "p.jsonl", 400)
+        with open(path, "rb") as fh:
+            want = np.concatenate(_bulk.read(fh, None, 10))
+        monkeypatch.setattr(_bulk, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(_bulk, "cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert _bulk.threads() >= 2
+            blocks = _bulk.read_log(path)
+        finally:
+            stop.set()
+            thread.join()
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+    def test_the_cpu_and_thread_counts_are_positive(self):
         assert _bulk.cpus() >= 1
+        assert _bulk.threads() >= 1
 
 
 LEAK_PROBE = """
-import sys
+import os, sys
 from calibkit import LogFormat, _bulk, data
 _bulk.SPLIT_BYTES = 0
 _bulk.cpus = lambda: 2
+if sys.argv[2] == "failing":
+    def serve(*args):
+        raise RuntimeError("the child fails")
+    _bulk.serve = serve
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
 preds = data.load_predictions(sys.argv[1], LogFormat.JSONL)
 assert preds.labels.shape == (400,)
+assert forks == [1], forks
 """
 
 
-@pytest.mark.parametrize("swapped", [None, 10, 390], ids=["canonical", "head", "tail"])
-def test_the_split_route_leaves_no_pipe_or_process_behind(tmp_path, swapped):
-    """Under -X dev -W error an unclosed pipe or an unreaped helper is a
-    ResourceWarning on stderr: after a helper whose tail this process
-    takes, one killed when the head is not canonical, and one that
-    declines its tail."""
+@pytest.mark.parametrize("swapped, child", [
+    (None, "serving"), (10, "serving"), (390, "serving"), (None, "failing"),
+], ids=["canonical", "head", "tail", "failing-child"])
+def test_the_split_route_leaves_no_pipe_or_process_behind(tmp_path, swapped, child):
+    """Under -X dev -W error an unclosed pipe or an unreaped child is a
+    ResourceWarning on stderr: after a child whose tail this process
+    takes, one killed when the head is not canonical, one that declines
+    its tail, and one whose work raises. The probe has one thread, so it
+    really forks, and a child that raised leaves through os._exit
+    without a word."""
     path = write_long_log(tmp_path / "p.jsonl", 400)
     if swapped is not None:
         with_line(path, swapped, SWAPPED)
-    src = Path(data_module.__file__).parents[1]
     done = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", LEAK_PROBE, str(path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])})
+        [sys.executable, "-X", "dev", "-W", "error", "-c", LEAK_PROBE, str(path), child],
+        capture_output=True, text=True, timeout=120, env=src_env(OPENBLAS_NUM_THREADS="1"))
     assert (done.returncode, done.stderr) == (0, "")

@@ -12,8 +12,10 @@ whose notes say that its artifacts change, and why.
 
 import ctypes
 import hashlib
+import os
 import subprocess
-from unittest import mock
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,19 +194,35 @@ def test_log_artifacts_match_pinned_digests(tmp_path, monkeypatch, capsys,
     assert got == LOG_DIGESTS[command]
 
 
+# The CLI with the log split forced on, in a process with one thread, so
+# that it really forks; it counts its forks on stderr.
+SPLIT_CLI = """
+import os, sys
+from calibkit import _bulk
+from calibkit.cli import run_cli
+_bulk.SPLIT_BYTES = 0
+_bulk.cpus = lambda: 2
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+code = run_cli(sys.argv[1:])
+print(len(forks), file=sys.stderr)
+sys.exit(code)
+"""
+
+
 @pytest.mark.parametrize("swap_keys", [False, True], ids=["canonical", "keys-swapped"])
 @pytest.mark.parametrize("command", sorted(LOG_COMMANDS))
-def test_split_log_artifacts_match_pinned_digests(tmp_path, monkeypatch, capsys,
-                                                  command, swap_keys):
-    """A helper process parses the log's tail (canonical log), or is killed
+def test_split_log_artifacts_match_pinned_digests(tmp_path, command, swap_keys):
+    """A forked child parses the log's tail (canonical log), or is killed
     when the head is not canonical (keys swapped); the bytes stay the same."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(_bulk, "SPLIT_BYTES", 0)
-    monkeypatch.setattr(_bulk, "cpus", lambda: 2)
     write_log(tmp_path / "predictions.jsonl", swap_keys)
-    with mock.patch.object(subprocess, "Popen", wraps=subprocess.Popen) as popen:
-        assert run_cli(LOG_COMMANDS[command]) == 0
-    assert popen.call_count == 1
+    src = Path(_bulk.__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", SPLIT_CLI, *LOG_COMMANDS[command]],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"1\n")
     got = _digests(tmp_path / "out")
-    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    got["stdout"] = hashlib.sha256(done.stdout).hexdigest()
     assert got == LOG_DIGESTS[command]

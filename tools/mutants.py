@@ -159,7 +159,7 @@ MUTANTS = [
            "test_compare_report_with_bad_metric_value[accuracy-True]"),
     Mutant("split-bytes-zero", "_bulk.py",
            "SPLIT_BYTES = 32 << 20", "SPLIT_BYTES = 0",
-           "tests/test_data.py::TestSplitRoute::test_no_helper_starts[a small log]"),
+           "tests/test_data.py::TestSplitRoute::test_no_child_is_forked[a small log]"),
     Mutant("svg-curve-colour", "reporting.py",
            '_CURVE_COLOR = "#d62728"', '_CURVE_COLOR = "#d62729"',
            "tests/test_golden.py::test_artifacts_match_pinned_digests[experiment-seed0]"),
@@ -200,20 +200,42 @@ MUTANTS = [
     Mutant("nll-grad-not-divided-by-n", "losses.py",
            "    grad /= n\n", "",
            "tests/test_acceptance.py::test_criterion_2_gradients_match_finite_differences"),
-    # The JSONL bulk route: its block copy and its split with a helper.
+    # The JSONL bulk route: its block copy and its split with a forked child.
     Mutant("bulk-blocks-copied-out-of-order", "data.py",
            "values = blocks.pop()", "values = blocks.pop(0)",
            "tests/test_data.py::TestBulkRoute::test_a_log_longer_than_one_block"),
     Mutant("split-point-mid-line", "_bulk.py",
            "    fh.readline()\n    cut = fh.tell()\n", "    cut = fh.tell()\n",
-           "tests/test_data.py::TestSplitRoute::test_the_helper_parses_the_tail"),
+           "tests/test_data.py::TestSplitRoute::test_the_child_parses_the_tail"),
     Mutant("helper-tail-takes-short-output", "_bulk.py",
            "len(out) == 8 + n * (k + 1) * 8", "len(out) >= 8",
            "tests/test_data.py::TestSplitRoute::"
-           "test_a_failed_helper_leaves_the_tail_to_this_process[short-output]"),
+           "test_a_failed_child_leaves_the_tail_to_this_process[short-output]"),
     Mutant("helper-not-killed", "_bulk.py",
-           "                helper.kill()\n", "",
-           "tests/test_data.py::TestSplitRoute::test_a_helper_still_running_is_killed[interrupt]"),
+           "                os.kill(pid, signal.SIGKILL)\n", "",
+           "tests/test_data.py::TestSplitRoute::test_a_child_still_running_is_killed[interrupt]"),
+    Mutant("declined-tail-not-polled", "_bulk.py",
+           "head = read(fh, cut, k, declined)", "head = read(fh, cut, k)",
+           "tests/test_data.py::TestSplitRoute::test_a_declined_tail_stops_the_head_at_once"),
+    Mutant("fork-beside-a-thread", "_bulk.py",
+           'if not hasattr(os, "fork") or threads() != 1:', 'if not hasattr(os, "fork"):',
+           "tests/test_data.py::TestSplitRoute::"
+           "test_a_process_with_a_second_thread_forks_nothing"),
+    # The number kernel: its band, its table and its fallback.
+    Mutant("kernel-no-midpoint-band", "_bulk.py",
+           "band = x * 2.0 ** -61", "band = x * 0.0",
+           "tests/test_data.py::TestDecimals::test_the_edges_of_the_fast_path[midpoint]"),
+    Mutant("kernel-p10-index-off-by-one", "_bulk.py",
+           "powers_of_ten()[fast - P10_LO]", "powers_of_ten()[fast - P10_LO + 1]",
+           "tests/test_data.py::TestDecimals::test_every_token_reads_as_float_reads_it"),
+    Mutant("kernel-no-saturation-check", "_bulk.py",
+           "slow |= (fast != q) | (w == INT64_MAX)", "slow |= fast != q",
+           "tests/test_data.py::TestDecimals::"
+           "test_only_tokens_outside_the_proven_range_go_to_float"),
+    Mutant("kernel-no-subnormal-fallback", "_bulk.py",
+           "(f >= FLOAT64.tiny)", "(f >= 0.0)",
+           "tests/test_data.py::TestDecimals::"
+           "test_only_tokens_outside_the_proven_range_go_to_float"),
     # The lazy export table, the entries' one-thread default and the flag map.
     Mutant("export-under-wrong-submodule", "__init__.py",
            '"reporting": "comparison_table', '"kernels": "comparison_table',
@@ -240,6 +262,15 @@ MUTANTS = [
     Mutant("load-log-skips-the-count-check", "cli.py",
            '    _count(args.bins, "bin count", 1)\n', "",
            "tests/test_cli.py::TestEval::test_bad_bins_fails_before_the_log_is_parsed[eval]"),
+    # The path rule.
+    Mutant("path-rule-takes-empty", "errors.py",
+           'not isinstance(value, str) or not value or "\\0" in value',
+           'not isinstance(value, str) or "\\0" in value',
+           "tests/test_cli.py::TestUsage::test_errors_name_the_flag[--diagram]"),
+    Mutant("path-rule-takes-nul", "errors.py",
+           'not isinstance(value, str) or not value or "\\0" in value',
+           'not isinstance(value, str) or not value',
+           "tests/test_cli.py::TestUsage::test_errors_name_the_flag[--out]"),
     # The one train/experiment pipeline and its warm-pass message.
     Mutant("arm-manifest-keeps-mode-null", "cli.py",
            '"train": {**manifest["train"], "mode": mode.value}',
